@@ -8,9 +8,7 @@
 //
 // Versioning: Version names the current wire version; servers stamp
 // every response with the VersionHeader header and serve the route
-// set under the /v1 prefix. The pre-/v1 unversioned endpoints
-// (POST /optimize, POST /batch, GET /stats) remain as deprecated
-// shims over the same types.
+// set under the /v1 prefix.
 package api
 
 import (
@@ -135,8 +133,9 @@ type PhaseBreakdown struct {
 	KernelUs   float64 `json:"kernel_us,omitempty"`
 	KernelOps  int     `json:"kernel_ops,omitempty"`
 	SelectUs   float64 `json:"select_us,omitempty"`
-	// SelectMemo summarizes the collective-selection memo outcome:
-	// "hit", "miss" or "mixed" (empty when no selection ran).
+	// SelectMemo summarizes the template-cache outcome of the mesh
+	// collective selections: "hit", "miss" or "mixed" (empty when none
+	// ran — no mesh macro-communication, or no cache).
 	SelectMemo string  `json:"select_memo,omitempty"`
 	StoreUs    float64 `json:"store_us,omitempty"`
 	CostUs     float64 `json:"cost_us,omitempty"`
@@ -351,9 +350,10 @@ type SnapshotList struct {
 }
 
 // CacheStats mirrors the engine's in-memory cache counters.
-// SelectHits/SelectMisses are the collective-selection memo: a hit
-// served a (machine, pattern, dims, bytes) choice without rebuilding
-// any schedule.
+// SelectHits/SelectMisses count mesh collective selections served by
+// the compiled pricer's template cache: a hit evaluated an already
+// compiled template, a miss compiled one. Closed-form fat-tree
+// selections have no cache and count as neither.
 type CacheStats struct {
 	KernelHits       uint64 `json:"kernel_hits"`
 	KernelMisses     uint64 `json:"kernel_misses"`
@@ -401,8 +401,7 @@ type SuiteCacheStats struct {
 	Misses uint64 `json:"misses"`
 }
 
-// RequestStats counts requests per endpoint family, including the
-// deprecated unversioned shims.
+// RequestStats counts requests per endpoint family.
 type RequestStats struct {
 	Optimize    uint64 `json:"optimize"`
 	Batch       uint64 `json:"batch"`

@@ -22,7 +22,10 @@
 //     as fixed-cost algorithms the selector can choose, next to
 //     software trees over the data network;
 //   - Select* evaluates every applicable algorithm against the
-//     concrete machine instance and returns the cheapest, with
+//     concrete machine instance and returns the cheapest — mesh
+//     selections through compiled byte-symbolic templates (see
+//     MeshTemplate) that price exactly what the concrete rounds
+//     cost — with
 //     deterministic tie-breaking (first algorithm in registry order
 //     wins ties), so repeated selections are byte-identical.
 //

@@ -15,8 +15,12 @@ import (
 // payload is then pure arithmetic over the frozen structure: per
 // contention group, the payload-dependent message sizes reduce to a
 // handful of coef·ceil(B/div) terms whose max is the group's
-// serialized transfer size. Eval allocates nothing and returns
-// bit-identical Choices to the Select* functions it compiles.
+// serialized transfer size. Eval allocates nothing. Templates are the
+// only way mesh selections are priced: the Select* functions are
+// one-shot template evaluations, and compiled.Pricer caches the
+// templates. Each Choice's cost equals MeshCost of the concrete
+// schedule ScheduleMesh, ScheduleMeshDim or SchedulePlanes builds for
+// it — the independent oracle the package tests hold it to.
 
 // byteTerm is one symbolic message-size term of a contention group:
 // coef · ceil(B/div) bytes at payload B.
@@ -151,9 +155,9 @@ type algoTemplate struct {
 	variants []variantTemplate
 }
 
-// pick selects the variant for the payload, mirroring
-// evaluator.pickVariant: cheapest applicable by broadcast cost,
-// earlier variants winning ties.
+// pick selects the variant for the payload as meshAlgo.build does:
+// cheapest applicable by broadcast cost, earlier variants winning
+// ties.
 func (a *algoTemplate) pick(m *machine.Mesh2D, bytes int64) *variantTemplate {
 	if len(a.variants) == 1 {
 		return &a.variants[0]
@@ -177,7 +181,7 @@ func (a *algoTemplate) pick(m *machine.Mesh2D, bytes int64) *variantTemplate {
 	return best
 }
 
-// lineTemplate is the compiled form of one selectShapes call: the
+// lineTemplate is the compiled selection over one line set: the
 // applicable algorithms (force and totalOnly filters are
 // byte-independent, so they resolve at compile time, including the
 // fall-back to free selection when force names nothing applicable).
@@ -278,7 +282,10 @@ func buildPlanesTemplate(e *evaluator, m *machine.Mesh2D, p Pattern, planes []Pl
 	return t
 }
 
-// eval mirrors selectPlanes. The composed cost needs no re-fold of
+// eval selects the cheapest composition: per dimension order, each
+// phase's cheapest algorithm under the pattern (phase costs add, so
+// the per-phase winners compose the cheapest plane schedule for that
+// order). The composed cost needs no re-fold of
 // the whole concatenation: MeshCost's accumulation is a left fold, so
 // folding the second-executed phase from the first-executed phase's
 // cost is bit-identical to pricing the concatenated rounds. For
@@ -312,8 +319,8 @@ func (t *planesTemplate) eval(m *machine.Mesh2D, bytes int64) Choice {
 // of one SelectMesh, SelectMeshDim or SelectMeshMacro call, reusable
 // for any payload (and any link-cost calibration — the contention
 // partition depends only on the grid geometry). Eval is thread-safe
-// (the template is read-only after construction), allocation-free,
-// and returns bit-identical Choices to the Select* call it compiles.
+// (the template is read-only after construction) and
+// allocation-free.
 type MeshTemplate struct {
 	p, q    int
 	pattern Pattern
@@ -390,7 +397,7 @@ func (b *TemplateBuilder) Total(p Pattern, force string) *MeshTemplate {
 
 // Dim compiles SelectMeshDim(m, p, dim, ·, force): concurrent
 // per-line trees along one grid dimension (out-of-range dims fall
-// back to the total selection, as SelectMeshDim does).
+// back to the total selection).
 func (b *TemplateBuilder) Dim(p Pattern, dim int, force string) *MeshTemplate {
 	if dim != 0 && dim != 1 {
 		return b.Total(p, force)
@@ -419,15 +426,9 @@ func (b *TemplateBuilder) Macro(p Pattern, dims []int, force string) *MeshTempla
 	return t
 }
 
-// NewMeshTotalTemplate compiles SelectMesh(m, p, 0, ·, force) through
-// a one-shot builder; compiling several templates of one geometry is
-// cheaper through a shared TemplateBuilder.
-func NewMeshTotalTemplate(m *machine.Mesh2D, p Pattern, force string) *MeshTemplate {
-	return NewTemplateBuilder(m).Total(p, force)
-}
-
 // NewMeshDimTemplate compiles SelectMeshDim(m, p, dim, ·, force)
-// through a one-shot builder.
+// through a one-shot builder; compiling several templates of one
+// geometry is cheaper through a shared TemplateBuilder.
 func NewMeshDimTemplate(m *machine.Mesh2D, p Pattern, dim int, force string) *MeshTemplate {
 	return NewTemplateBuilder(m).Dim(p, dim, force)
 }

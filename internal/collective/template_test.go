@@ -1,15 +1,10 @@
 package collective
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/machine"
 )
-
-// templateMeshes are the geometries the equivalence tests sweep:
-// square, skewed both ways, non-power-of-two, and degenerate.
-var templateMeshes = [][2]int{{1, 1}, {2, 2}, {4, 4}, {8, 8}, {16, 16}, {2, 16}, {16, 2}, {64, 2}, {2, 64}, {3, 5}, {1, 8}}
 
 // templateBytes cross payloads from below the chain segment sizes to
 // scatter-allgather territory.
@@ -19,59 +14,6 @@ func requireSameChoice(t *testing.T, ctxt string, want, got Choice) {
 	t.Helper()
 	if want != got {
 		t.Fatalf("%s:\n  select: %+v\n  template: %+v", ctxt, want, got)
-	}
-}
-
-// TestMeshTemplateMatchesSelect checks that every template mode
-// returns bit-identical Choices (algorithm, scope, rounds, and cost
-// down to the last float bit) to the uncompiled Select* calls across
-// meshes, patterns, dims, payloads, and force pins.
-func TestMeshTemplateMatchesSelect(t *testing.T) {
-	forces := []string{"", "flat", "chain", "dim-tree", "direct" /* not a mesh algo: fallback */}
-	for _, sh := range templateMeshes {
-		m := machine.DefaultMesh(sh[0], sh[1])
-		for _, p := range []Pattern{Broadcast, Reduction} {
-			for _, force := range forces {
-				ctxt := func(mode string, b int64) string {
-					return fmt.Sprintf("%dx%d %s force=%q %s bytes=%d", sh[0], sh[1], p, force, mode, b)
-				}
-				tt := NewMeshTotalTemplate(m, p, force)
-				d0 := NewMeshDimTemplate(m, p, 0, force)
-				d1 := NewMeshDimTemplate(m, p, 1, force)
-				m1 := NewMeshMacroTemplate(m, p, []int{0}, force)
-				m2 := NewMeshMacroTemplate(m, p, []int{0, 1}, force)
-				m0 := NewMeshMacroTemplate(m, p, nil, force)
-				for _, b := range templateBytes {
-					requireSameChoice(t, ctxt("total", b), SelectMesh(m, p, 0, b, force), tt.Eval(m, b))
-					requireSameChoice(t, ctxt("dim0", b), SelectMeshDim(m, p, 0, b, force), d0.Eval(m, b))
-					requireSameChoice(t, ctxt("dim1", b), SelectMeshDim(m, p, 1, b, force), d1.Eval(m, b))
-					requireSameChoice(t, ctxt("macro[0]", b), SelectMeshMacro(m, p, []int{0}, b, force), m1.Eval(m, b))
-					requireSameChoice(t, ctxt("macro[0 1]", b), SelectMeshMacro(m, p, []int{0, 1}, b, force), m2.Eval(m, b))
-					requireSameChoice(t, ctxt("macro[]", b), SelectMeshMacro(m, p, nil, b, force), m0.Eval(m, b))
-				}
-			}
-		}
-	}
-}
-
-// TestMeshTemplateAllForces pins every mesh algorithm on one square
-// and one skewed mesh, so the force filter and the chain's variant
-// machinery compile correctly under pinning.
-func TestMeshTemplateAllForces(t *testing.T) {
-	for _, sh := range [][2]int{{8, 8}, {16, 2}} {
-		m := machine.DefaultMesh(sh[0], sh[1])
-		for _, force := range MeshAlgorithms() {
-			for _, p := range []Pattern{Broadcast, Reduction} {
-				tmpl := NewMeshMacroTemplate(m, p, []int{0, 1}, force)
-				dt := NewMeshDimTemplate(m, p, 1, force)
-				for _, b := range []int64{1, 64, 4096, 1 << 22} {
-					requireSameChoice(t, fmt.Sprintf("%dx%d force=%s %s macro bytes=%d", sh[0], sh[1], force, p, b),
-						SelectMeshMacro(m, p, []int{0, 1}, b, force), tmpl.Eval(m, b))
-					requireSameChoice(t, fmt.Sprintf("%dx%d force=%s %s dim1 bytes=%d", sh[0], sh[1], force, p, b),
-						SelectMeshDim(m, p, 1, b, force), dt.Eval(m, b))
-				}
-			}
-		}
 	}
 }
 

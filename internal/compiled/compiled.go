@@ -4,18 +4,17 @@
 // alignment, Hermite forms and plan construction through core; its
 // result — an Artifact — is the machine-independent projection of the
 // plans. The numeric phase (Artifact.Eval) prices those plans on a
-// concrete machine instance through the same cost model the engine
-// uses, with mesh collective selection served from compiled
-// collective.MeshTemplates cached in a Pricer, so sweeping a lattice
-// of (P, Q, bytes) points costs one structural compile plus one cheap
-// arithmetic evaluation per point instead of one cold optimize each.
+// concrete machine instance, with mesh collective selection served
+// from compiled collective.MeshTemplates cached in a Pricer, so
+// sweeping a lattice of (P, Q, bytes) points costs one structural
+// compile plus one cheap arithmetic evaluation per point instead of
+// one cold optimize each.
 //
-// Equivalence is the package's contract: for any scenario, Eval
+// The package is the engine's cost model: PlanTime is the one
+// per-plan pricing dispatch, and the engine prices every scenario
+// through it (see EvalPlans). For any scenario, Eval therefore
 // returns bit-identical model time, class counts and collective
-// summaries to running the scenario through engine's uncompiled
-// costing — templates compile the exact Select* structure (see
-// internal/collective), and Eval replays the engine's planTime
-// dispatch term for term.
+// summaries to running the scenario through the engine.
 package compiled
 
 import (
@@ -30,9 +29,10 @@ import (
 )
 
 // PlanShape is the machine-independent projection of one core.Plan:
-// exactly the fields the cost models read. It mirrors the engine's
-// plan records, so an artifact built from either a fresh optimization
-// or a stored plan entry evaluates identically.
+// exactly the fields the cost model reads. The engine's plan tier
+// holds plans in this form whatever tier they came from, so an
+// artifact built from either a fresh optimization or a stored plan
+// entry evaluates identically.
 type PlanShape struct {
 	Class          core.Class
 	Vectorizable   bool
@@ -77,9 +77,17 @@ func Compile(sc *scenarios.Scenario) *Artifact {
 		a.Err = err.Error()
 		return a
 	}
-	a.Plans = make([]PlanShape, 0, len(res.Plans))
-	for _, pl := range res.Plans {
-		a.Plans = append(a.Plans, PlanShape{
+	a.Plans = Shapes(res.Plans)
+	return a
+}
+
+// Shapes projects optimized plans onto their plan shapes — the one
+// core.Plan → PlanShape projection, shared by Compile and the
+// engine's plan tier.
+func Shapes(plans []core.Plan) []PlanShape {
+	shapes := make([]PlanShape, 0, len(plans))
+	for _, pl := range plans {
+		shapes = append(shapes, PlanShape{
 			Class:          pl.Class,
 			Vectorizable:   pl.Vectorizable,
 			MacroReduction: pl.Macro != nil && pl.Macro.Kind == macro.Reduction,
@@ -88,13 +96,13 @@ func Compile(sc *scenarios.Scenario) *Artifact {
 			Dataflow:       pl.Dataflow,
 		})
 	}
-	return a
+	return shapes
 }
 
 // macroGridDims extracts the grid axes of a partial axis-parallel
 // macro-communication — the non-zero rows of its direction matrix, in
-// row order — matching the engine's projection exactly. Total, hidden
-// and non-axis macros report nil.
+// row order (sorted by construction). Total, hidden and non-axis
+// macros report nil (machine-spanning scheduling).
 func macroGridDims(mc *macro.Macro) []int {
 	if mc == nil || !mc.Partial() || !mc.AxisParallel() {
 		return nil
@@ -112,9 +120,8 @@ func macroGridDims(mc *macro.Macro) []int {
 	return dims
 }
 
-// formatCollectives renders selector choices deterministically —
-// sorted "pattern=algorithm" terms, "*n" multiplicities past one —
-// byte-identical to the engine's rendering.
+// formatCollectives renders selector choices deterministically:
+// sorted "pattern=algorithm" terms, "*n" multiplicities past one.
 func formatCollectives(counts map[string]int) string {
 	if len(counts) == 0 {
 		return ""

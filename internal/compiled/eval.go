@@ -1,12 +1,16 @@
 package compiled
 
 import (
+	"context"
+	"time"
+
 	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/distrib"
 	"repro/internal/intmat"
 	"repro/internal/machine"
 	"repro/internal/scenarios"
+	"repro/internal/trace"
 )
 
 // Point is the evaluation of one artifact at one machine point: the
@@ -21,43 +25,46 @@ type Point struct {
 	ModelTime float64
 	// Vectorizable counts plans satisfying the Section 4.5 condition.
 	Vectorizable int
-	// Collectives is the deterministic collective summary, rendered
-	// exactly as engine results render it.
+	// Collectives is the deterministic collective summary:
+	// "pattern=algorithm" terms with multiplicities, sorted and
+	// comma-joined (e.g. "broadcast=bisection,shift=direct*3"); empty
+	// when no collective operation was priced.
 	Collectives string
 }
 
-// standInGeneral is the deterministic pattern used when a general
-// plan has no usable 2×2 data-flow matrix (mirrors the engine).
-var standInGeneral = intmat.New(2, 2, 0, 1, 1, 0)
+// Selections accumulates the collective selections of one pricing
+// walk: the wall time spent selecting and the outcomes of the Pricer's
+// template cache. A selection with no cache behind it — closed-form
+// fat-tree selection, or any selection through the nil Pricer — counts
+// as neither a hit nor a miss. The nil *Selections records nothing.
+type Selections struct {
+	Dur          time.Duration
+	Hits, Misses int
+}
 
-// Eval prices the artifact's plans at one machine point. It replays
-// the engine's cost dispatch exactly — mesh macro-communications
-// through the pricer's compiled templates (or cold selection for a
-// nil pricer), decomposed and general plans through the same
-// simulation and permute selection the engine calls — so the Point is
-// bit-identical to optimizing the corresponding scenario uncompiled.
+// Eval prices the artifact's plans at one machine point through
+// PlanTime, the cost model the engine prices every scenario with, so
+// the Point is bit-identical to optimizing the corresponding scenario.
 // An errored artifact returns the zero Point.
 func (a *Artifact) Eval(pr *Pricer, spec scenarios.MachineSpec, dist distrib.Dist2D, n int, elemBytes int64) Point {
-	var pt Point
 	if a.Err != "" {
-		return pt
+		return Point{}
 	}
+	return EvalPlans(context.Background(), pr, a.Plans, spec, dist, n, elemBytes, nil)
+}
+
+// EvalPlans prices a plan list at one machine point: PlanTime per plan,
+// aggregated into class counts, total model time, the vectorizable
+// count and the collective summary. Selections feed sel.
+func EvalPlans(ctx context.Context, pr *Pricer, plans []PlanShape, spec scenarios.MachineSpec, dist distrib.Dist2D, n int, elemBytes int64, sel *Selections) Point {
+	var pt Point
 	counts := map[string]int{}
-	for _, pl := range a.Plans {
+	for _, pl := range plans {
 		pt.Classes[pl.Class]++
 		if pl.Vectorizable {
 			pt.Vectorizable++
 		}
-		var t float64
-		var choices []collective.Choice
-		if pl.Class == core.Local {
-			continue
-		}
-		if spec.Kind == scenarios.Mesh {
-			t, choices = meshShapeTime(pr, spec, dist, n, elemBytes, pl)
-		} else {
-			t, choices = fatTreeShapeTime(spec, n, elemBytes, pl)
-		}
+		t, choices := PlanTime(ctx, pr, spec, dist, n, elemBytes, pl, sel)
 		pt.ModelTime += t
 		for _, ch := range choices {
 			counts[ch.String()]++
@@ -67,42 +74,118 @@ func (a *Artifact) Eval(pr *Pricer, spec scenarios.MachineSpec, dist distrib.Dis
 	return pt
 }
 
-// physMacroDims projects a macro's virtual grid axes onto the 2-D
-// mesh, exactly as the engine does: axes ≥ 2 have no physical extent
-// and are dropped.
-func physMacroDims(vdims []int) []int {
-	var dims []int
-	for _, d := range vdims {
-		if d == 0 || d == 1 {
-			dims = append(dims, d)
-		}
+// PlanTime costs one communication plan on the machine point, in
+// model-µs, and reports which collective algorithms the cost-driven
+// selector chose for it (none for plans that involve no collective
+// operation). It is the only per-plan cost model: the engine prices
+// scenarios through it, and Artifact.Eval prices lattice points
+// through it.
+//
+// Fat tree (CM-5-like): macro-communications go through the
+// collective selector, which keeps the hardware combining network as
+// a fixed-cost algorithm next to software trees over the data
+// network. The per-processor payload is n elements of elemBytes; a
+// vectorizable plan (Section 4.5) moves it in one operation, a
+// non-vectorizable one pays n element-wise operations.
+//
+// Mesh (Paragon-like): macro-communications are selected through the
+// Pricer's compiled templates (or one-shot templates for the nil
+// Pricer): an axis-parallel p=1 macro runs concurrent per-line trees
+// along its grid dimension, a p ≥ 2 one competes per-plane two-phase
+// schedules against the machine-spanning execution, and a total one
+// spans the machine. Decomposed plans simulate each phase's
+// aggregated pattern on the n×n virtual grid under the distribution
+// and execute it with the cheapest permute algorithm. A general plan
+// is simulated message by message; one without a 2×2 data-flow
+// matrix uses the transpose permutation as a deterministic stand-in.
+//
+// The machine spec may pin the selection to one named algorithm (the
+// "mesh8x8:flat" grammar). Each collective selection records a
+// "collective.select" span under ctx's active trace, annotated with
+// its template-cache outcome ("hit", "miss" or "off"), and feeds sel.
+func PlanTime(ctx context.Context, pr *Pricer, spec scenarios.MachineSpec, dist distrib.Dist2D, n int, elemBytes int64, pl PlanShape, sel *Selections) (float64, []collective.Choice) {
+	switch {
+	case pl.Class == core.Local:
+		return 0, nil
+	case spec.Kind == scenarios.Mesh:
+		return meshShapeTime(ctx, pr, spec, dist, n, elemBytes, pl, sel)
 	}
-	return dims
+	return fatTreeShapeTime(ctx, spec, n, elemBytes, pl, sel)
 }
 
-func meshShapeTime(pr *Pricer, spec scenarios.MachineSpec, dist distrib.Dist2D, n int, eb int64, pl PlanShape) (float64, []collective.Choice) {
+// observe runs one collective selection, timing it into sel and — under
+// an active trace — recording its "collective.select" span. pick
+// returns the choice and its cache outcome.
+func (sel *Selections) observe(ctx context.Context, p collective.Pattern, pick func() (collective.Choice, string)) collective.Choice {
+	_, sp := trace.StartSpan(ctx, "collective.select")
+	if sel == nil && sp == nil {
+		ch, _ := pick()
+		return ch
+	}
+	t0 := time.Now()
+	ch, memo := pick()
+	if sel != nil {
+		sel.Dur += time.Since(t0)
+		switch memo {
+		case "hit":
+			sel.Hits++
+		case "miss":
+			sel.Misses++
+		}
+	}
+	if sp != nil {
+		sp.Set("memo", memo).Set("pattern", p.String()).Set("choice", ch.String()).End()
+	}
+	return ch
+}
+
+func macroPattern(pl PlanShape) collective.Pattern {
+	if pl.MacroReduction {
+		return collective.Reduction
+	}
+	return collective.Broadcast
+}
+
+func fatTreeShapeTime(ctx context.Context, spec scenarios.MachineSpec, n int, eb int64, pl PlanShape, sel *Selections) (float64, []collective.Choice) {
+	ft := machine.DefaultFatTree(spec.P)
+	bytes, reps := eb, float64(n)
+	if pl.Vectorizable {
+		bytes, reps = eb*int64(n), 1
+	}
+	switch pl.Class {
+	case core.MacroComm:
+		p := macroPattern(pl)
+		ch := sel.observe(ctx, p, func() (collective.Choice, string) {
+			return collective.SelectFatTree(ft, p, bytes, spec.Algo), "off"
+		})
+		return reps * ch.Cost, []collective.Choice{ch}
+	case core.Decomposed:
+		k := max(len(pl.Factors), 1) // no factors: a pure translation
+		return reps * (float64(k) * ft.Translation(bytes)), nil
+	default:
+		return reps * ft.General(1, bytes), nil
+	}
+}
+
+// standInGeneral is the deterministic pattern used when a general
+// plan has no usable 2×2 data-flow matrix.
+var standInGeneral = intmat.New(2, 2, 0, 1, 1, 0)
+
+func meshShapeTime(ctx context.Context, pr *Pricer, spec scenarios.MachineSpec, dist distrib.Dist2D, n int, eb int64, pl PlanShape, sel *Selections) (float64, []collective.Choice) {
 	m := machine.DefaultMesh(spec.P, spec.Q)
 	force := spec.Algo
 	switch pl.Class {
 	case core.MacroComm:
-		pattern := collective.Broadcast
-		if pl.MacroReduction {
-			pattern = collective.Reduction
-		}
-		bytes := eb * int64(n)
-		dims := physMacroDims(pl.MacroDims)
-		var ch collective.Choice
-		switch {
-		case len(pl.MacroDims) == 1 && len(dims) == 1:
-			ch = pr.SelectMeshDim(m, pattern, dims[0], bytes, force)
-		case len(pl.MacroDims) >= 2 && len(dims) >= 1:
-			ch = pr.SelectMeshMacro(m, pattern, dims, bytes, force)
-		default:
-			ch = pr.SelectMesh(m, pattern, bytes, force)
-		}
+		p := macroPattern(pl)
+		ch := sel.observe(ctx, p, func() (collective.Choice, string) {
+			return pr.selectMacro(m, p, pl.MacroDims, eb*int64(n), force)
+		})
 		return ch.Cost, []collective.Choice{ch}
 	case core.Decomposed:
 		if len(pl.Factors) > 0 && is2x2(pl.Factors[0]) {
+			// Successive phases, right to left as in the matrix
+			// product; each phase's aggregated pattern runs under the
+			// cheapest permute execution.
 			total := 0.0
 			var choices []collective.Choice
 			for idx := len(pl.Factors) - 1; idx >= 0; idx-- {
@@ -113,10 +196,9 @@ func meshShapeTime(pr *Pricer, spec scenarios.MachineSpec, dist distrib.Dist2D, 
 			}
 			return total, choices
 		}
-		k := len(pl.Factors)
-		if k == 0 {
-			k = 1
-		}
+		// A pure translation (no factors), or factors outside the 2-D
+		// simulator: unit-shift phases.
+		k := max(len(pl.Factors), 1)
 		shift := machine.AffineComm2D(m, dist, intmat.Identity(2), []int64{1, 1}, n, n, eb)
 		ch := collective.SelectPermute(m, shift, force)
 		choices := make([]collective.Choice, k)
@@ -126,42 +208,10 @@ func meshShapeTime(pr *Pricer, spec scenarios.MachineSpec, dist distrib.Dist2D, 
 		return float64(k) * ch.Cost, choices
 	default: // General
 		t := pl.Dataflow
-		if t == nil || !is2x2(t) {
+		if !is2x2(t) {
 			t = standInGeneral
 		}
 		return m.Time(machine.GeneralComm2D(m, dist, t, nil, n, n, eb)), nil
-	}
-}
-
-func fatTreeShapeTime(spec scenarios.MachineSpec, n int, eb int64, pl PlanShape) (float64, []collective.Choice) {
-	ft := machine.DefaultFatTree(spec.P)
-	switch pl.Class {
-	case core.MacroComm:
-		pattern := collective.Broadcast
-		if pl.MacroReduction {
-			pattern = collective.Reduction
-		}
-		if pl.Vectorizable {
-			ch := collective.SelectFatTree(ft, pattern, eb*int64(n), spec.Algo)
-			return ch.Cost, []collective.Choice{ch}
-		}
-		ch := collective.SelectFatTree(ft, pattern, eb, spec.Algo)
-		return float64(n) * ch.Cost, []collective.Choice{ch}
-	case core.Decomposed:
-		k := len(pl.Factors)
-		if k == 0 {
-			k = 1
-		}
-		one := func(bytes int64) float64 { return float64(k) * ft.Translation(bytes) }
-		if pl.Vectorizable {
-			return one(eb * int64(n)), nil
-		}
-		return float64(n) * one(eb), nil
-	default:
-		if pl.Vectorizable {
-			return ft.General(1, eb*int64(n)), nil
-		}
-		return float64(n) * ft.General(1, eb), nil
 	}
 }
 

@@ -15,13 +15,15 @@ import (
 // serves mesh collective selections by evaluating the cached template
 // at the requested payload. Template compilation is byte-independent,
 // so one template prices every payload (and every link-cost
-// calibration of its geometry); evaluation is allocation-free and
-// bit-identical to the corresponding collective.Select* call.
+// calibration of its geometry); evaluation is allocation-free. It is
+// the only selection cache: the engine prices every scenario through
+// it.
 //
 // A Pricer is safe for concurrent use; template compilation is
-// single-flight per key. The nil *Pricer is valid and falls back to
-// cold selection, so callers can thread an optional pricer without
-// guarding call sites.
+// single-flight per key. The nil *Pricer is valid and compiles a
+// one-shot template per selection (exactly the corresponding
+// collective.Select* call), so callers can thread an optional pricer
+// without guarding call sites.
 type Pricer struct {
 	mu   sync.Mutex
 	tmpl map[string]*tmplSlot
@@ -111,9 +113,9 @@ func templateKey(mode string, m *machine.Mesh2D, p collective.Pattern, dims []in
 	return b.String()
 }
 
-// template returns the compiled template for key, compiling at most
-// once concurrently.
-func (pr *Pricer) template(key string, build func() *collective.MeshTemplate) *collective.MeshTemplate {
+// template returns the compiled template for key, compiling it at
+// most once concurrently, and reports whether it was already cached.
+func (pr *Pricer) template(key string, build func() *collective.MeshTemplate) (*collective.MeshTemplate, bool) {
 	pr.mu.Lock()
 	slot, ok := pr.tmpl[key]
 	if !ok {
@@ -127,53 +129,98 @@ func (pr *Pricer) template(key string, build func() *collective.MeshTemplate) *c
 		pr.misses.Add(1)
 	}
 	slot.once.Do(func() { slot.t = build() })
-	return slot.t
+	return slot.t, ok
+}
+
+// eval prices one selection at the payload through the template
+// cache: mode and dims name the selection structure, and compile
+// builds its template on a miss through the geometry's shared
+// builder. It reports the cache outcome — "hit", "miss", or "off" for
+// the nil Pricer, which compiles a one-shot template instead.
+func (pr *Pricer) eval(m *machine.Mesh2D, p collective.Pattern, mode string, dims []int, bytes int64, force string,
+	compile func(*collective.TemplateBuilder) *collective.MeshTemplate) (collective.Choice, string) {
+	if pr == nil {
+		return compile(collective.NewTemplateBuilder(m)).Eval(m, bytes), "off"
+	}
+	t, hit := pr.template(templateKey(mode, m, p, dims, force), func() *collective.MeshTemplate {
+		bs := pr.builder(m)
+		bs.mu.Lock()
+		defer bs.mu.Unlock()
+		return compile(bs.b)
+	})
+	pr.evals.Add(1)
+	if hit {
+		return t.Eval(m, bytes), "hit"
+	}
+	return t.Eval(m, bytes), "miss"
+}
+
+// physMacroDims projects a macro's virtual grid axes onto the 2-D
+// mesh: axes ≥ 2 have no physical extent in the mesh model and are
+// dropped.
+func physMacroDims(vdims []int) []int {
+	var dims []int
+	for _, d := range vdims {
+		if d == 0 || d == 1 {
+			dims = append(dims, d)
+		}
+	}
+	return dims
+}
+
+// selectMacro selects for a macro-communication spanning the virtual
+// grid axes vdims. Their projection onto the mesh's physical axes
+// picks the scheduling: a one-axis (p=1) macro runs concurrent
+// per-line trees along its axis; a multi-axis (p ≥ 2) macro with a
+// physical axis runs per-plane (or per-line, if only one axis is
+// physical) competing with the machine-spanning execution; anything
+// else spans the machine.
+func (pr *Pricer) selectMacro(m *machine.Mesh2D, p collective.Pattern, vdims []int, bytes int64, force string) (collective.Choice, string) {
+	dims := physMacroDims(vdims)
+	switch {
+	case len(vdims) == 1 && len(dims) == 1:
+		return pr.selectDim(m, p, dims[0], bytes, force)
+	case len(vdims) >= 2 && len(dims) >= 1:
+		return pr.selectPartial(m, p, dims, bytes, force)
+	}
+	return pr.selectTotal(m, p, bytes, force)
+}
+
+func (pr *Pricer) selectTotal(m *machine.Mesh2D, p collective.Pattern, bytes int64, force string) (collective.Choice, string) {
+	return pr.eval(m, p, "total", nil, bytes, force, func(b *collective.TemplateBuilder) *collective.MeshTemplate {
+		return b.Total(p, force)
+	})
+}
+
+func (pr *Pricer) selectDim(m *machine.Mesh2D, p collective.Pattern, dim int, bytes int64, force string) (collective.Choice, string) {
+	return pr.eval(m, p, "dim", []int{dim}, bytes, force, func(b *collective.TemplateBuilder) *collective.MeshTemplate {
+		return b.Dim(p, dim, force)
+	})
+}
+
+func (pr *Pricer) selectPartial(m *machine.Mesh2D, p collective.Pattern, dims []int, bytes int64, force string) (collective.Choice, string) {
+	return pr.eval(m, p, "macro", dims, bytes, force, func(b *collective.TemplateBuilder) *collective.MeshTemplate {
+		return b.Macro(p, dims, force)
+	})
 }
 
 // SelectMesh is collective.SelectMesh(m, p, 0, bytes, force) through
 // the template cache.
 func (pr *Pricer) SelectMesh(m *machine.Mesh2D, p collective.Pattern, bytes int64, force string) collective.Choice {
-	if pr == nil {
-		return collective.SelectMesh(m, p, 0, bytes, force)
-	}
-	bs := pr.builder(m)
-	t := pr.template(templateKey("total", m, p, nil, force), func() *collective.MeshTemplate {
-		bs.mu.Lock()
-		defer bs.mu.Unlock()
-		return bs.b.Total(p, force)
-	})
-	pr.evals.Add(1)
-	return t.Eval(m, bytes)
+	ch, _ := pr.selectTotal(m, p, bytes, force)
+	return ch
 }
 
 // SelectMeshDim is collective.SelectMeshDim through the template
 // cache.
 func (pr *Pricer) SelectMeshDim(m *machine.Mesh2D, p collective.Pattern, dim int, bytes int64, force string) collective.Choice {
-	if pr == nil {
-		return collective.SelectMeshDim(m, p, dim, bytes, force)
-	}
-	bs := pr.builder(m)
-	t := pr.template(templateKey("dim", m, p, []int{dim}, force), func() *collective.MeshTemplate {
-		bs.mu.Lock()
-		defer bs.mu.Unlock()
-		return bs.b.Dim(p, dim, force)
-	})
-	pr.evals.Add(1)
-	return t.Eval(m, bytes)
+	ch, _ := pr.selectDim(m, p, dim, bytes, force)
+	return ch
 }
 
 // SelectMeshMacro is collective.SelectMeshMacro through the template
 // cache.
 func (pr *Pricer) SelectMeshMacro(m *machine.Mesh2D, p collective.Pattern, dims []int, bytes int64, force string) collective.Choice {
-	if pr == nil {
-		return collective.SelectMeshMacro(m, p, dims, bytes, force)
-	}
-	bs := pr.builder(m)
-	t := pr.template(templateKey("macro", m, p, dims, force), func() *collective.MeshTemplate {
-		bs.mu.Lock()
-		defer bs.mu.Unlock()
-		return bs.b.Macro(p, dims, force)
-	})
-	pr.evals.Add(1)
-	return t.Eval(m, bytes)
+	ch, _ := pr.selectPartial(m, p, dims, bytes, force)
+	return ch
 }

@@ -2,53 +2,11 @@ package engine
 
 import (
 	"context"
-
 	"testing"
 
 	"repro/internal/compiled"
-	"repro/internal/core"
 	"repro/internal/scenarios"
 )
-
-// benchMacroPlan is the hot planInfo shape: a p≥2 broadcast macro on
-// the square big mesh, the most schedule-construction-heavy selection.
-var benchMacroPlan = planInfo{class: core.MacroComm, macroDims: []int{0, 1}}
-
-func benchMacroScenario() *scenarios.Scenario {
-	return &scenarios.Scenario{
-		Machine:   scenarios.MachineSpec{Kind: scenarios.Mesh, P: 16, Q: 16},
-		N:         16,
-		ElemBytes: 64,
-	}
-}
-
-// BenchmarkCollectiveMemoCold measures the unmemoized selector path
-// the engine pays without a session cache: every iteration rebuilds
-// and reprices every candidate schedule.
-func BenchmarkCollectiveMemoCold(b *testing.B) {
-	sc := benchMacroScenario()
-	var cost float64
-	for i := 0; i < b.N; i++ {
-		cost, _ = meshPlanTime(context.Background(), sc, benchMacroPlan, nil, nil, nil)
-	}
-	b.ReportMetric(cost, "model-µs")
-}
-
-// BenchmarkCollectiveMemoWarm measures the memoized path of a
-// repeated suite: after the first selection, every iteration is one
-// memo lookup. Compare against BenchmarkCollectiveMemoCold — the gap
-// is what the session memo saves per macro-communication.
-func BenchmarkCollectiveMemoWarm(b *testing.B) {
-	sc := benchMacroScenario()
-	cache := NewCache(0)
-	meshPlanTime(context.Background(), sc, benchMacroPlan, cache, nil, nil) // populate
-	b.ResetTimer()
-	var cost float64
-	for i := 0; i < b.N; i++ {
-		cost, _ = meshPlanTime(context.Background(), sc, benchMacroPlan, cache, nil, nil)
-	}
-	b.ReportMetric(cost, "model-µs")
-}
 
 // benchLatticeGrid is the 64-point capacity-planning lattice the
 // compiled-tier benchmarks sweep: 4 mesh geometries × 16 payloads,
@@ -111,8 +69,8 @@ func BenchmarkCompiledLattice(b *testing.B) {
 
 // BenchmarkUncompiledLattice is the same 64-point sweep without the
 // compiled tier: every lattice point pays a full cold optimization
-// and cold collective selection, exactly what a -no-cache batch of 64
-// scenarios would.
+// and prices through the nil Pricer (a one-shot template per
+// selection), exactly what a -no-cache batch of 64 scenarios would.
 func BenchmarkUncompiledLattice(b *testing.B) {
 	g := benchLatticeGrid(b)
 	base := benchLatticeNest()
@@ -128,10 +86,8 @@ func BenchmarkUncompiledLattice(b *testing.B) {
 				if ent.err != "" {
 					b.Fatal(ent.err)
 				}
-				for _, pl := range ent.plans {
-					t, _ := planTime(context.Background(), &sc, pl, nil, nil, nil)
-					sink += t
-				}
+				pt := compiled.EvalPlans(context.Background(), nil, ent.plans, sc.Machine, sc.Dist, sc.N, sc.ElemBytes, nil)
+				sink += pt.ModelTime
 			}
 		}
 	}

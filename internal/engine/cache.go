@@ -18,11 +18,10 @@ import (
 //   - plan tier: the complete two-step heuristic result per distinct
 //     optimization problem (canonical program + target dimension +
 //     options), which subsumes the access-graph construction and its
-//     maximum branching;
-//   - selection tier: the collective selector's choice per distinct
-//     (machine, pattern, dims, bytes) key (see macroChoice in
-//     cost.go), so repeated suites stop rebuilding and repricing
-//     candidate schedules — the BenchmarkCollectiveSelect hot path.
+//     maximum branching.
+//
+// Collective selections are cached by the session's compiled.Pricer,
+// not here.
 //
 // Every memoized computation is a pure function of its canonical
 // key, so a hit always returns exactly what recomputation would.
@@ -45,7 +44,6 @@ type Cache struct {
 	kernelDiskHits, kernelDiskMisses     atomic.Uint64
 	planHits, planMisses                 atomic.Uint64
 	diskHits, diskMisses                 atomic.Uint64
-	selectHits, selectMisses             atomic.Uint64
 	compiledHits, compiledMisses         atomic.Uint64
 	compiledDiskHits, compiledDiskMisses atomic.Uint64
 	evictions                            atomic.Uint64
@@ -237,9 +235,11 @@ type CacheStats struct {
 	// DiskHits/DiskMisses count plan-tier memory misses that were
 	// served from / not found in the disk store (zero without one).
 	DiskHits, DiskMisses uint64
-	// SelectHits/SelectMisses count collective-selection memo lookups:
-	// a hit returns a previously selected (machine, pattern, dims,
-	// bytes) choice without rebuilding any schedule.
+	// SelectHits/SelectMisses count the mesh collective selections
+	// served by the pricer's template cache: a hit evaluated an already
+	// compiled template, a miss compiled one. They equal
+	// CompiledTemplateHits/CompiledTemplateMisses. Closed-form fat-tree
+	// selections have no cache and count as neither.
 	SelectHits, SelectMisses uint64
 	// CompiledHits/CompiledMisses count compiled-artifact memory-tier
 	// lookups (see Session.CompiledArtifact); CompiledDiskHits and
@@ -273,8 +273,6 @@ func (c *Cache) Stats() CacheStats {
 		PlanMisses:         c.planMisses.Load(),
 		DiskHits:           c.diskHits.Load(),
 		DiskMisses:         c.diskMisses.Load(),
-		SelectHits:         c.selectHits.Load(),
-		SelectMisses:       c.selectMisses.Load(),
 		CompiledHits:       c.compiledHits.Load(),
 		CompiledMisses:     c.compiledMisses.Load(),
 		CompiledDiskHits:   c.compiledDiskHits.Load(),

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/collective"
+	"repro/internal/compiled"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/scenarios"
@@ -29,6 +31,13 @@ func legacyMeshCollectiveTime(m *machine.Mesh2D, bytes int64, reduction bool) fl
 	return m.Time(msgs)
 }
 
+// priceShape prices one plan shape on the scenario's machine through
+// the compiled cost dispatch the engine uses (nil pricer: one-shot
+// templates).
+func priceShape(sc *scenarios.Scenario, pl compiled.PlanShape) (float64, []collective.Choice) {
+	return compiled.PlanTime(context.Background(), nil, sc.Machine, sc.Dist, sc.N, sc.ElemBytes, pl, nil)
+}
+
 func macroScenario(p, q int, algo string) *scenarios.Scenario {
 	return &scenarios.Scenario{
 		Machine:   scenarios.MachineSpec{Kind: scenarios.Mesh, P: p, Q: q, Algo: algo},
@@ -37,7 +46,7 @@ func macroScenario(p, q int, algo string) *scenarios.Scenario {
 	}
 }
 
-// macroDimCases are the macroDims shapes the cost model schedules
+// macroDimCases are the MacroDims shapes the cost model schedules
 // differently: total (nil), the two p=1 axes, and the p≥2 multi-axis
 // combinations (including the virtual axis 2 of m=3 grids, which has
 // no physical extent on the 2-D mesh).
@@ -54,9 +63,9 @@ func TestMeshMacroNeverWorseThanLegacy(t *testing.T) {
 			legacy := legacyMeshCollectiveTime(m, 16*64, reduction)
 			for _, dims := range macroDimCases {
 				sc := macroScenario(pq[0], pq[1], "")
-				cost, choices := meshPlanTime(context.Background(), sc, planInfo{
-					class: core.MacroComm, macroReduction: reduction, macroDims: dims,
-				}, nil, nil, nil)
+				cost, choices := priceShape(sc, compiled.PlanShape{
+					Class: core.MacroComm, MacroReduction: reduction, MacroDims: dims,
+				})
 				if cost > legacy {
 					t.Errorf("mesh%dx%d dims=%v red=%v: collective cost %.0f > legacy flat %.0f",
 						pq[0], pq[1], dims, reduction, cost, legacy)
@@ -76,9 +85,9 @@ func TestMeshMacroForcedFlatMatchesLegacy(t *testing.T) {
 		m := machine.DefaultMesh(pq[0], pq[1])
 		for _, reduction := range []bool{false, true} {
 			sc := macroScenario(pq[0], pq[1], "flat")
-			cost, choices := meshPlanTime(context.Background(), sc, planInfo{
-				class: core.MacroComm, macroReduction: reduction, macroDims: nil,
-			}, nil, nil, nil)
+			cost, choices := priceShape(sc, compiled.PlanShape{
+				Class: core.MacroComm, MacroReduction: reduction,
+			})
 			if want := legacyMeshCollectiveTime(m, 16*64, reduction); cost != want {
 				t.Errorf("mesh%dx%d red=%v: forced flat %.2f ≠ legacy %.2f", pq[0], pq[1], reduction, cost, want)
 			}
@@ -97,8 +106,8 @@ func TestMeshMacroForcedFlatMatchesLegacy(t *testing.T) {
 // the opposite.
 func TestMeshMacroTopologyAware(t *testing.T) {
 	for _, dims := range [][]int{{0}, {1}, {0, 2}, {1, 2}} {
-		tall, _ := meshPlanTime(context.Background(), macroScenario(64, 2, ""), planInfo{class: core.MacroComm, macroDims: dims}, nil, nil, nil)
-		flat, _ := meshPlanTime(context.Background(), macroScenario(2, 64, ""), planInfo{class: core.MacroComm, macroDims: dims}, nil, nil, nil)
+		tall, _ := priceShape(macroScenario(64, 2, ""), compiled.PlanShape{Class: core.MacroComm, MacroDims: dims})
+		flat, _ := priceShape(macroScenario(2, 64, ""), compiled.PlanShape{Class: core.MacroComm, MacroDims: dims})
 		if tall == flat {
 			t.Errorf("dims %v: mesh64x2 and mesh2x64 macro broadcasts cost identically (%.1f µs)", dims, tall)
 		}
@@ -108,8 +117,8 @@ func TestMeshMacroTopologyAware(t *testing.T) {
 	// winning schedule and the costs coincide exactly. That symmetry is
 	// the correct physics (the machines are transposes); pin it so a
 	// regression in either phase order shows up.
-	tall, _ := meshPlanTime(context.Background(), macroScenario(64, 2, ""), planInfo{class: core.MacroComm, macroDims: []int{0, 1}}, nil, nil, nil)
-	flat, _ := meshPlanTime(context.Background(), macroScenario(2, 64, ""), planInfo{class: core.MacroComm, macroDims: []int{0, 1}}, nil, nil, nil)
+	tall, _ := priceShape(macroScenario(64, 2, ""), compiled.PlanShape{Class: core.MacroComm, MacroDims: []int{0, 1}})
+	flat, _ := priceShape(macroScenario(2, 64, ""), compiled.PlanShape{Class: core.MacroComm, MacroDims: []int{0, 1}})
 	if tall != flat {
 		t.Errorf("dims [0 1]: transposed meshes with both phase orders should price identically (%.1f vs %.1f µs)", tall, flat)
 	}
@@ -127,11 +136,10 @@ func TestMeshMacroPerPlaneBound(t *testing.T) {
 				for _, dims := range [][]int{{0, 1}, {0, 2}, {1, 2}} {
 					sc := macroScenario(pq[0], pq[1], "")
 					sc.N = n
-					pi := planInfo{class: core.MacroComm, macroReduction: reduction}
-					pi.macroDims = dims
-					plane, _ := meshPlanTime(context.Background(), sc, pi, nil, nil, nil)
-					pi.macroDims = nil
-					total, _ := meshPlanTime(context.Background(), sc, pi, nil, nil, nil)
+					pl := compiled.PlanShape{Class: core.MacroComm, MacroReduction: reduction, MacroDims: dims}
+					plane, _ := priceShape(sc, pl)
+					pl.MacroDims = nil
+					total, _ := priceShape(sc, pl)
 					if plane > total {
 						t.Errorf("mesh%dx%d dims=%v red=%v n=%d: per-plane %.2f > total %.2f",
 							pq[0], pq[1], dims, reduction, n, plane, total)
@@ -139,31 +147,6 @@ func TestMeshMacroPerPlaneBound(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestMacroChoiceMemoDeterminism: memoized selection is byte-identical
-// to cold selection for every scheduling mode, and repeated lookups
-// hit the memo.
-func TestMacroChoiceMemoDeterminism(t *testing.T) {
-	cache := NewCache(0)
-	for _, pq := range meshSpecs {
-		for _, dims := range macroDimCases {
-			sc := macroScenario(pq[0], pq[1], "")
-			pi := planInfo{class: core.MacroComm, macroDims: dims}
-			coldCost, coldCh := meshPlanTime(context.Background(), sc, pi, nil, nil, nil)
-			for i := 0; i < 3; i++ {
-				warmCost, warmCh := meshPlanTime(context.Background(), sc, pi, cache, nil, nil)
-				if warmCost != coldCost || len(warmCh) != 1 || warmCh[0] != coldCh[0] {
-					t.Fatalf("mesh%dx%d dims=%v: memoized selection %v (%.2f) ≠ cold %v (%.2f)",
-						pq[0], pq[1], dims, warmCh, warmCost, coldCh, coldCost)
-				}
-			}
-		}
-	}
-	st := cache.Stats()
-	if st.SelectMisses == 0 || st.SelectHits < 2*st.SelectMisses {
-		t.Errorf("memo counters off: %d hits, %d misses", st.SelectHits, st.SelectMisses)
 	}
 }
 

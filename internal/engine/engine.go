@@ -139,10 +139,11 @@ type Session struct {
 	tasks   chan task
 	wg      sync.WaitGroup
 
-	// pricer serves mesh collective selections from compiled templates
-	// (the compiled tier between the selection memo and cold schedule
-	// construction); cstore is the optional disk tier behind the
-	// compiled-artifact cache. Both are nil when the cache is disabled.
+	// pricer is the selection cache: every scenario is priced through
+	// compiled.EvalPlans, whose mesh collective selections evaluate
+	// templates cached here. cstore is the optional disk tier behind
+	// the compiled-artifact cache. Both are nil when the cache is
+	// disabled (selections then compile one-shot templates).
 	pricer *compiled.Pricer
 	cstore CompiledStore
 
@@ -237,11 +238,12 @@ func (s *Session) Close() {
 func (s *Session) Workers() int { return s.workers }
 
 // CacheStats snapshots the session's cache counters (zero when the
-// cache is disabled), including the compiled tier's template-cache
-// and evaluation counters.
+// cache is disabled), including the pricer's template-cache and
+// evaluation counters, which also back SelectHits/SelectMisses.
 func (s *Session) CacheStats() CacheStats {
 	st := s.cache.Stats()
 	ps := s.pricer.Stats()
+	st.SelectHits, st.SelectMisses = ps.TemplateHits, ps.TemplateMisses
 	st.CompiledTemplates = ps.Templates
 	st.CompiledTemplateHits = ps.TemplateHits
 	st.CompiledTemplateMisses = ps.TemplateMisses
@@ -431,22 +433,12 @@ func (s *Session) runOne(ctx context.Context, sc *scenarios.Scenario) Result {
 		return out
 	}
 	costStart := time.Now()
-	acc := &selAcc{}
-	counts := map[string]int{}
-	for _, pl := range ent.plans {
-		out.Classes[pl.class]++
-		if pl.vectorizable {
-			out.Vectorizable++
-		}
-		t, choices := planTime(ctx, sc, pl, s.cache, s.pricer, acc)
-		out.ModelTime += t
-		for _, ch := range choices {
-			counts[ch.String()]++
-		}
-	}
-	out.Collectives = formatCollectives(counts)
-	ph.SelectUs = float64(acc.ns) / 1e3
-	ph.SelectHits, ph.SelectMisses = acc.hits, acc.misses
+	var sel compiled.Selections
+	pt := compiled.EvalPlans(ctx, s.pricer, ent.plans, sc.Machine, sc.Dist, sc.N, sc.ElemBytes, &sel)
+	out.Classes, out.ModelTime = pt.Classes, pt.ModelTime
+	out.Vectorizable, out.Collectives = pt.Vectorizable, pt.Collectives
+	ph.SelectUs = float64(sel.Dur) / 1e3
+	ph.SelectHits, ph.SelectMisses = sel.Hits, sel.Misses
 	ph.CostUs = usSince(costStart)
 	ph.TotalUs = usSince(t0)
 	s.addPhases(ph)
@@ -455,30 +447,6 @@ func (s *Session) runOne(ctx context.Context, sc *scenarios.Scenario) Result {
 	}
 	sp.End()
 	return out
-}
-
-// formatCollectives renders selector choices deterministically:
-// sorted "pattern=algorithm" terms, "*n" multiplicities past one.
-func formatCollectives(counts map[string]int) string {
-	if len(counts) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(k)
-		if counts[k] > 1 {
-			fmt.Fprintf(&b, "*%d", counts[k])
-		}
-	}
-	return b.String()
 }
 
 // collectiveTotals re-aggregates the per-scenario Collectives

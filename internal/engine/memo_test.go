@@ -16,9 +16,10 @@ import (
 var bigSweepConfig = scenarios.Config{Seed: 42, Random: 6, Deep: 4, Skew: true, BigMeshes: true, M: 3}
 
 // TestMemoDeterminismBigSweep: re-running the full big-sweep suite in
-// one session serves collective selections from the memo, and the
-// memoized results are byte-identical to both the first (cold) run
-// and a run with the cache — and therefore the memo — disabled.
+// one session serves every mesh collective selection from the
+// pricer's template cache, and the cached results are byte-identical
+// to both the first (cold) run and a run with the cache — and
+// therefore the pricer — disabled.
 func TestMemoDeterminismBigSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full big-sweep re-run")
@@ -47,13 +48,13 @@ func TestMemoDeterminismBigSweep(t *testing.T) {
 		t.Fatal("results differ")
 	}
 	if afterCold.SelectMisses == 0 {
-		t.Error("cold run recorded no selection-memo misses")
+		t.Error("cold run compiled no selection templates")
 	}
 	if hits := afterWarm.SelectHits - afterCold.SelectHits; hits == 0 {
-		t.Error("warm re-run recorded no selection-memo hits")
+		t.Error("warm re-run recorded no template-cache hits")
 	}
 	if misses := afterWarm.SelectMisses - afterCold.SelectMisses; misses != 0 {
-		t.Errorf("warm re-run recorded %d selection-memo misses, want 0", misses)
+		t.Errorf("warm re-run compiled %d selection templates, want 0", misses)
 	}
 
 	uncached := Run(suite, Options{Workers: 4, DisableCache: true})
@@ -61,7 +62,7 @@ func TestMemoDeterminismBigSweep(t *testing.T) {
 	if !reflect.DeepEqual(coldR, uncachedR) {
 		for i := range coldR {
 			if !reflect.DeepEqual(coldR[i], uncachedR[i]) {
-				t.Fatalf("scenario %d (%s):\n memoized %+v\n unmemoized %+v", i, suite[i].Name, coldR[i], uncachedR[i])
+				t.Fatalf("scenario %d (%s):\n cached %+v\n uncached %+v", i, suite[i].Name, coldR[i], uncachedR[i])
 			}
 		}
 		t.Fatal("results differ")

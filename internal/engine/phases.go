@@ -29,8 +29,9 @@ type PhaseTimes struct {
 	KernelUs  float64
 	KernelOps int
 	// SelectUs, SelectHits and SelectMisses cover the collective
-	// selector (memoized per machine/pattern/dims/bytes): time spent
-	// this run, and the memo outcome split.
+	// selector: time spent this run, and how many mesh selections the
+	// pricer's template cache served (hit) or compiled (miss).
+	// Fat-tree selections have no cache and count as neither.
 	SelectUs     float64
 	SelectHits   int
 	SelectMisses int
@@ -43,8 +44,9 @@ type PhaseTimes struct {
 	TotalUs float64
 }
 
-// SelectMemo summarizes the selection-memo outcome for this scenario:
-// "hit", "miss", "mixed", or "" when no selection ran.
+// SelectMemo summarizes the template-cache outcome of this scenario's
+// mesh selections: "hit", "miss", "mixed", or "" when none ran (no
+// mesh macro-communication, or no cache behind the selector).
 func (p *PhaseTimes) SelectMemo() string {
 	switch {
 	case p == nil || p.SelectHits+p.SelectMisses == 0:
@@ -58,26 +60,6 @@ func (p *PhaseTimes) SelectMemo() string {
 }
 
 func usSince(t0 time.Time) float64 { return float64(time.Since(t0)) / 1e3 }
-
-// selAcc accumulates collective-selection time and memo outcomes
-// across one scenario's plans. Methods tolerate the nil receiver, so
-// costing outside a scenario run needs no accumulator.
-type selAcc struct {
-	ns           int64
-	hits, misses int
-}
-
-func (a *selAcc) observe(d time.Duration, hit bool) {
-	if a == nil {
-		return
-	}
-	a.ns += int64(d)
-	if hit {
-		a.hits++
-	} else {
-		a.misses++
-	}
-}
 
 // kernelTrack maps goroutine ID → accumulator for the scenario
 // computing on that goroutine. The intmat kernel hooks carry no

@@ -8,23 +8,28 @@ import (
 	"repro/internal/trace"
 )
 
-// macroSuiteScenario returns a scenario whose optimization yields at
-// least one macro-communication, so collective selection runs (the
-// paper's example 1 broadcasts on the fat tree).
+// macroSuiteScenario returns a mesh scenario whose optimization
+// yields macro-communications with distinct selection structures, so
+// mesh collective selection runs through the pricer's template cache
+// (matmul broadcasts along each grid axis).
 func macroSuiteScenario(t *testing.T) *scenarios.Scenario {
 	t.Helper()
 	s := scenarios.Generate(scenarios.Config{Seed: 7})
-	if len(s) == 0 {
-		t.Fatal("empty default suite")
+	for i := range s {
+		if s[i].Program.Name == "matmul" && s[i].Machine.Kind == scenarios.Mesh {
+			return &s[i]
+		}
 	}
-	return &s[0]
+	t.Fatal("default suite has no matmul scenario on a mesh")
+	return nil
 }
 
 // TestPhaseAttribution: a cold run attributes compute/align/kernel
-// time, a warm run reports the memory tier with the recorded compute
-// cost and an all-hit selection memo, and a fresh session over the
-// same store reports the disk tier — with the original compute cost
-// carried through the PlanRecord timing fields.
+// time and compiles its selection templates, a warm run reports the
+// memory tier with the recorded compute cost and all-hit template
+// selections, and a fresh session over the same store reports the
+// disk tier — with the original compute cost carried through the
+// PlanRecord timing fields.
 func TestPhaseAttribution(t *testing.T) {
 	sc := macroSuiteScenario(t)
 	st := newMemStore()
@@ -51,7 +56,7 @@ func TestPhaseAttribution(t *testing.T) {
 		t.Fatalf("scenario %s selected no collectives; pick one that does", sc.Name)
 	}
 	if ph.SelectMemo() != "miss" {
-		t.Errorf("cold selection memo = %q (%d hits, %d misses), want miss",
+		t.Errorf("cold template-cache outcome = %q (%d hits, %d misses), want miss",
 			ph.SelectMemo(), ph.SelectHits, ph.SelectMisses)
 	}
 
@@ -67,7 +72,7 @@ func TestPhaseAttribution(t *testing.T) {
 		t.Errorf("warm run lost the recorded compute cost: cold %+v warm %+v", ph, wph)
 	}
 	if wph.SelectMemo() != "hit" {
-		t.Errorf("warm selection memo = %q (%d hits, %d misses), want hit",
+		t.Errorf("warm template-cache outcome = %q (%d hits, %d misses), want hit",
 			wph.SelectMemo(), wph.SelectHits, wph.SelectMisses)
 	}
 
@@ -123,7 +128,8 @@ func spanNames(td *trace.TraceData) map[string][]trace.SpanData {
 // TestScenarioTrace: optimizing under an active trace records the
 // full span tree — scenario, store lookup, optimize with alignment
 // and kernel children, collective selection — with non-zero durations
-// and the memo annotation flipping to "hit" on a warm re-run.
+// and the template-cache annotation flipping to "hit" on a warm
+// re-run.
 func TestScenarioTrace(t *testing.T) {
 	sc := macroSuiteScenario(t)
 	st := newMemStore()
@@ -182,5 +188,53 @@ func TestScenarioTrace(t *testing.T) {
 	}
 	if len(names["optimize"]) != 0 {
 		t.Error("warm run recorded an optimize span despite the memory hit")
+	}
+}
+
+// TestFatTreeSelectionUncached: closed-form fat-tree selection has no
+// cache behind it, so its spans say memo=off and it counts as neither
+// a hit nor a miss.
+func TestFatTreeSelectionUncached(t *testing.T) {
+	var sc *scenarios.Scenario
+	s := scenarios.Generate(scenarios.Config{Seed: 7})
+	for i := range s {
+		if s[i].Program.Name == "example1" && s[i].Machine.Kind == scenarios.FatTree {
+			sc = &s[i]
+			break
+		}
+	}
+	if sc == nil {
+		t.Fatal("default suite has no example1 scenario on a fat tree")
+	}
+	sess := NewSession(Options{Workers: 1})
+	defer sess.Close()
+	rec := trace.NewRecorder(2)
+	ctx, root := trace.StartRoot(context.Background(), rec, "fattree", "")
+	res, err := sess.Optimize(ctx, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	if res.Collectives == "" {
+		t.Fatalf("scenario %s selected no collectives", sc.Name)
+	}
+	if ph := res.Phases; ph.SelectHits+ph.SelectMisses != 0 || ph.SelectMemo() != "" {
+		t.Errorf("fat-tree selections counted as template lookups: %+v", ph)
+	}
+	if cs := sess.CacheStats(); cs.SelectHits+cs.SelectMisses != 0 {
+		t.Errorf("session select counters moved: %d hits, %d misses", cs.SelectHits, cs.SelectMisses)
+	}
+	td, ok := rec.Get(root.TraceID().String())
+	if !ok {
+		t.Fatal("trace not recorded")
+	}
+	spans := spanNames(td)["collective.select"]
+	if len(spans) == 0 {
+		t.Fatalf("no collective.select span:\n%s", td.TreeString())
+	}
+	for _, sd := range spans {
+		if sd.Attrs["memo"] != "off" {
+			t.Errorf("fat-tree select span memo = %q, want off", sd.Attrs["memo"])
+		}
 	}
 }

@@ -110,8 +110,9 @@ func newObservability(s *Server) *observability {
 		func() uint64 { return pool().ScenarioErrors })
 
 	// Engine memo-cache tiers, mirrored from CacheStats: plan = whole
-	// heuristic results, kernel = exact linear algebra, select = the
-	// collective-selection memo, *_disk = the store tier behind each.
+	// heuristic results, kernel = exact linear algebra, select = mesh
+	// collective selections served by the pricer's template cache,
+	// *_disk = the store tier behind each.
 	hits := reg.NewCounterVec("resopt_engine_cache_hits_total",
 		"Memo-cache hits by tier.", "tier")
 	misses := reg.NewCounterVec("resopt_engine_cache_misses_total",

@@ -57,8 +57,9 @@ func TestOptimizeTraced(t *testing.T) {
 	ops := httptest.NewServer(srv.OpsHandler())
 	t.Cleanup(ops.Close)
 
-	// example1 has a broadcast, so collective selection runs.
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/optimize", api.OptimizeRequest{Example: "example1", Machine: "fattree32"})
+	// example1 has broadcasts, so mesh collective selection runs
+	// through the pricer's template cache.
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/optimize", api.OptimizeRequest{Example: "example1", Machine: "mesh4x4"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("optimize status %d: %s", resp.StatusCode, body)
 	}
@@ -99,8 +100,9 @@ func TestOptimizeTraced(t *testing.T) {
 		t.Errorf("cold store.lookup result %q", got)
 	}
 
-	// Warm re-run: plan cache hit, memoized selection, no optimize span.
-	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/optimize", api.OptimizeRequest{Example: "example1", Machine: "fattree32"})
+	// Warm re-run: plan cache hit, template-cache hits, no optimize
+	// span.
+	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/optimize", api.OptimizeRequest{Example: "example1", Machine: "mesh4x4"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm optimize status %d: %s", resp.StatusCode, body)
 	}

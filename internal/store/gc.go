@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -61,6 +62,9 @@ const staleTempAge = time.Hour
 func (s *Store) GC(opts GCOptions) (GCResult, error) {
 	var res GCResult
 	now := time.Now()
+	if !opts.DryRun {
+		s.gcSweeps.Add(1)
+	}
 	for _, tier := range []string{"plans", "kernels", "compiled"} {
 		if err := s.gcTier(filepath.Join(s.root, tier), now, opts, &res); err != nil {
 			return res, err
@@ -80,25 +84,22 @@ func (s *Store) GC(opts GCOptions) (GCResult, error) {
 				continue
 			}
 			if info, err := e.Info(); err == nil && now.Sub(info.ModTime()) > staleTempAge {
-				if s.gcRemove(filepath.Join(s.root, tier, e.Name()), opts.DryRun) {
+				if s.gcRemove(filepath.Join(s.root, tier, e.Name()), 0, &s.gcRemovedTemp, opts.DryRun) {
 					res.RemovedTemp++
 				}
 			}
 		}
-	}
-	if !opts.DryRun {
-		s.gcSweeps.Add(1)
-		s.gcRemovedAge.Add(uint64(res.RemovedAge))
-		s.gcRemovedLRU.Add(uint64(res.RemovedLRU))
-		s.gcRemovedTemp.Add(uint64(res.RemovedTemp))
-		s.gcBytesFreed.Add(res.BytesFreed)
 	}
 	return res, nil
 }
 
 // GCTotals is the cumulative work of every (non-dry-run) GC sweep
 // performed through this Store handle — what the daemon's background
-// sweeper and the /metrics GC counters report.
+// sweeper and the /metrics GC counters report. The totals never trail
+// the directories they describe: a sweep counts in Sweeps when it
+// starts, and each removal is published just before its file is
+// unlinked (and withdrawn if the unlink fails), so a reader that sees
+// a file gone also sees it counted.
 type GCTotals struct {
 	Sweeps      uint64 `json:"sweeps"`
 	RemovedAge  uint64 `json:"removed_age"`
@@ -140,7 +141,7 @@ func (s *Store) gcTier(dir string, now time.Time, opts GCOptions, res *GCResult)
 		}
 		if strings.HasPrefix(d.Name(), ".tmp-") {
 			if now.Sub(info.ModTime()) > staleTempAge {
-				if s.gcRemove(path, opts.DryRun) {
+				if s.gcRemove(path, 0, &s.gcRemovedTemp, opts.DryRun) {
 					res.RemovedTemp++
 				}
 			}
@@ -159,7 +160,7 @@ func (s *Store) gcTier(dir string, now time.Time, opts GCOptions, res *GCResult)
 		kept := files[:0]
 		for _, f := range files {
 			if now.Sub(f.mtime) > opts.MaxAge {
-				if s.gcRemove(f.path, opts.DryRun) {
+				if s.gcRemove(f.path, f.size, &s.gcRemovedAge, opts.DryRun) {
 					res.RemovedAge++
 					res.BytesFreed += f.size
 					continue
@@ -176,7 +177,7 @@ func (s *Store) gcTier(dir string, now time.Time, opts GCOptions, res *GCResult)
 		excess := files[:len(files)-opts.MaxPlans]
 		kept := files[len(files)-opts.MaxPlans:]
 		for _, f := range excess {
-			if s.gcRemove(f.path, opts.DryRun) {
+			if s.gcRemove(f.path, f.size, &s.gcRemovedLRU, opts.DryRun) {
 				res.RemovedLRU++
 				res.BytesFreed += f.size
 			} else {
@@ -194,12 +195,18 @@ func (s *Store) gcTier(dir string, now time.Time, opts GCOptions, res *GCResult)
 }
 
 // gcRemove deletes one file (or pretends to, under DryRun) and
-// reports success; failures become store warnings.
-func (s *Store) gcRemove(path string, dryRun bool) bool {
+// reports success; failures become store warnings. A real removal is
+// added to counter and to the freed-bytes total before the unlink and
+// taken back if it fails, so GCTotals never lags the directory.
+func (s *Store) gcRemove(path string, size int64, counter *atomic.Uint64, dryRun bool) bool {
 	if dryRun {
 		return true
 	}
+	counter.Add(1)
+	s.gcBytesFreed.Add(size)
 	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		counter.Add(^uint64(0))
+		s.gcBytesFreed.Add(-size)
 		s.warnf("gc: removing %s: %v", path, err)
 		return false
 	}

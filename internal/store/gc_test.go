@@ -118,8 +118,9 @@ func TestGCLRU(t *testing.T) {
 	}
 }
 
-// TestGCDryRunAndTemp: DryRun counts without deleting; stale temp
-// files are reclaimed, young ones kept.
+// TestGCDryRunAndTemp: DryRun counts without deleting or moving the
+// cumulative totals; stale temp files are reclaimed, young ones kept;
+// a real sweep's removals all land in GCTotals.
 func TestGCDryRunAndTemp(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -154,6 +155,9 @@ func TestGCDryRunAndTemp(t *testing.T) {
 	if got := countPlans(t, s); got != 4 {
 		t.Errorf("dry run deleted files: %d plan files left, want 4", got)
 	}
+	if tot := s.GCTotals(); tot != (GCTotals{}) {
+		t.Errorf("dry run moved the GC totals: %+v", tot)
+	}
 
 	wet, err := s.GC(GCOptions{MaxAge: 24 * time.Hour})
 	if err != nil {
@@ -161,6 +165,10 @@ func TestGCDryRunAndTemp(t *testing.T) {
 	}
 	if wet.Removed() != 5 {
 		t.Errorf("wet run removed %d files, want 5", wet.Removed())
+	}
+	want := GCTotals{Sweeps: 1, RemovedAge: 4, RemovedTemp: 1, BytesFreed: wet.BytesFreed}
+	if tot := s.GCTotals(); tot != want || wet.BytesFreed <= 0 {
+		t.Errorf("GC totals %+v after the wet run %+v, want %+v", tot, wet, want)
 	}
 	if _, err := os.Stat(young); err != nil {
 		t.Error("young temp file was reclaimed")
