@@ -130,14 +130,12 @@ func (c Choice) String() string {
 }
 
 // MeshCost prices a schedule on the mesh: each round is one
-// contention-scheduled pattern, rounds execute back to back. Pricing
-// goes through a reusable machine.CostEval (bit-identical to
-// Mesh2D.Time, without its per-round map allocations).
+// contention-scheduled pattern (Mesh2D.Time), rounds execute back to
+// back.
 func MeshCost(m *machine.Mesh2D, rounds []Round) float64 {
-	e := machine.NewCostEval(m)
 	total := 0.0
 	for _, r := range rounds {
-		total += e.Time(r)
+		total += m.Time(r)
 	}
 	return total
 }

@@ -1,14 +1,16 @@
 package machine
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
-// CostEval is a reusable contention-cost evaluator for one mesh. It
-// computes exactly what Mesh2D.Time computes — the same greedy
-// round packing in the same order, the same float accumulation — but
-// keeps its working state (per-round link-occupancy bitmaps, path
-// scratch) allocated across calls, so pricing thousands of candidate
-// schedules costs zero steady-state allocations instead of one
-// map[linkID]bool per round per call.
+// CostEval is the contention-cost evaluator of a mesh: the one greedy
+// round packer behind Mesh2D.Time. Each contention round keeps its
+// link occupancy as a bitset of uint64 words over a dense directed-
+// link index, plus a dirty list of the words it set, and the rounds
+// and path scratch stay allocated across calls — so pricing
+// thousands of candidate schedules costs no steady-state allocation.
 //
 // It additionally exposes the packing itself (Assign): the partition
 // of a pattern into contention rounds depends only on message paths,
@@ -18,7 +20,8 @@ import "fmt"
 // template layer).
 //
 // A CostEval is bound to one mesh geometry and is not safe for
-// concurrent use; give each goroutine its own.
+// concurrent use; give each goroutine its own. Mesh2D.Time draws one
+// from a package pool per call.
 type CostEval struct {
 	m *Mesh2D
 	// nlinks is the directed-link index space: 2 dims x 2 dirs per
@@ -27,27 +30,55 @@ type CostEval struct {
 	nlinks  int
 	rounds  []costRound
 	nrounds int
-	path    []int32
+	// path is the current message's route as occupancy words, links
+	// of one word merged when consecutive; hops is its link count.
+	path []pathWord
+	hops int
 }
 
-// costRound mirrors Mesh2D.Time's per-round state with a flat bitmap
-// plus a dirty list for O(links touched) clearing between calls.
+// costRound is one contention round: a link-occupancy bitset plus a
+// dirty list of the words set, for O(links touched) clearing between
+// calls.
 type costRound struct {
-	used     []bool
+	used     []uint64
 	dirty    []int32
 	maxBytes int64
 	maxHops  int
 }
+
+// pathWord is the part of a route that falls in one occupancy word.
+type pathWord struct {
+	w    int32
+	mask uint64
+}
+
+// evalPool recycles evaluators across Mesh2D.Time calls.
+var evalPool = sync.Pool{New: func() any { return new(CostEval) }}
 
 // NewCostEval builds an evaluator for the mesh.
 func NewCostEval(m *Mesh2D) *CostEval {
 	if m.P < 1 || m.Q < 1 {
 		panic(fmt.Sprintf("machine: cost evaluator needs a non-empty mesh, got %dx%d", m.P, m.Q))
 	}
-	return &CostEval{m: m, nlinks: m.P * m.Q * 4}
+	e := &CostEval{}
+	e.bind(m)
+	return e
 }
 
-// Time prices the pattern, bit-identical to m.Time(msgs).
+// bind points the evaluator at mesh m. Round bitmaps are kept when
+// the link count matches (the next Assign clears them through their
+// dirty lists) and dropped otherwise.
+func (e *CostEval) bind(m *Mesh2D) {
+	e.m = m
+	if n := m.P * m.Q * 4; n != e.nlinks {
+		e.nlinks = n
+		e.rounds = e.rounds[:0]
+		e.nrounds = 0
+	}
+}
+
+// Time prices the pattern under the mesh's contention model; see
+// Mesh2D.Time.
 func (e *CostEval) Time(msgs []Message) float64 {
 	nr := e.Assign(msgs, nil)
 	total := 0.0
@@ -68,7 +99,6 @@ func (e *CostEval) Time(msgs []Message) float64 {
 // next Time/Assign call.
 func (e *CostEval) Assign(msgs []Message, assign []int) int {
 	e.reset()
-	nr := 0
 	for mi := range msgs {
 		msg := &msgs[mi]
 		if msg.Src == msg.Dst {
@@ -78,42 +108,40 @@ func (e *CostEval) Assign(msgs []Message, assign []int) int {
 			continue
 		}
 		e.walk(msg.Src, msg.Dst)
-		placed := -1
-		for ri := 0; ri < nr; ri++ {
-			r := &e.rounds[ri]
-			free := true
-			for _, l := range e.path {
-				if r.used[l] {
-					free = false
-					break
-				}
-			}
-			if free {
-				r.occupy(e.path)
-				if msg.Bytes > r.maxBytes {
-					r.maxBytes = msg.Bytes
-				}
-				if len(e.path) > r.maxHops {
-					r.maxHops = len(e.path)
-				}
-				placed = ri
-				break
-			}
+		ri := e.firstFree()
+		if ri == e.nrounds {
+			e.grow(ri)
+			e.nrounds++
 		}
-		if placed < 0 {
-			r := e.grow(nr)
-			nr++
-			r.occupy(e.path)
+		r := &e.rounds[ri]
+		r.occupy(e.path)
+		if msg.Bytes > r.maxBytes {
 			r.maxBytes = msg.Bytes
-			r.maxHops = len(e.path)
-			placed = nr - 1
+		}
+		if e.hops > r.maxHops {
+			r.maxHops = e.hops
 		}
 		if assign != nil {
-			assign[mi] = placed
+			assign[mi] = ri
 		}
 	}
-	e.nrounds = nr
-	return nr
+	return e.nrounds
+}
+
+// firstFree returns the first open round none of whose occupied
+// links the current path uses, or nrounds when every round conflicts.
+func (e *CostEval) firstFree() int {
+rounds:
+	for ri := 0; ri < e.nrounds; ri++ {
+		used := e.rounds[ri].used
+		for _, p := range e.path {
+			if used[p.w]&p.mask != 0 {
+				continue rounds
+			}
+		}
+		return ri
+	}
+	return e.nrounds
 }
 
 // RoundHops returns the longest path (in hops) of contention round i
@@ -121,12 +149,12 @@ func (e *CostEval) Assign(msgs []Message, assign []int) int {
 func (e *CostEval) RoundHops(i int) int { return e.rounds[i].maxHops }
 
 // reset clears the previous call's round state, touching only the
-// links it actually occupied.
+// words it actually set.
 func (e *CostEval) reset() {
 	for i := 0; i < e.nrounds; i++ {
 		r := &e.rounds[i]
-		for _, l := range r.dirty {
-			r.used[l] = false
+		for _, w := range r.dirty {
+			r.used[w] = 0
 		}
 		r.dirty = r.dirty[:0]
 		r.maxBytes = 0
@@ -135,30 +163,28 @@ func (e *CostEval) reset() {
 	e.nrounds = 0
 }
 
-// grow returns round i, allocating its bitmap on first use.
-func (e *CostEval) grow(i int) *costRound {
+// grow makes round i exist, allocating its bitmap on first use.
+func (e *CostEval) grow(i int) {
 	for len(e.rounds) <= i {
-		e.rounds = append(e.rounds, costRound{used: make([]bool, e.nlinks)})
-	}
-	return &e.rounds[i]
-}
-
-// occupy marks a path's links used. Paths within a round are disjoint
-// by construction (the caller only places on free links) and a single
-// XY walk never repeats a link, so dirty entries stay unique.
-func (r *costRound) occupy(path []int32) {
-	for _, l := range path {
-		r.used[l] = true
-		r.dirty = append(r.dirty, l)
+		e.rounds = append(e.rounds, costRound{used: make([]uint64, (e.nlinks+63)/64)})
 	}
 }
 
-// walk fills e.path with the directed-link indices of the XY route —
-// the flat-index twin of Mesh2D.walkXY, emitting links in the same
-// order.
+// occupy marks a path's links used, listing each word it sets as
+// dirty; a word listed twice is simply cleared twice.
+func (r *costRound) occupy(path []pathWord) {
+	for _, p := range path {
+		r.used[p.w] |= p.mask
+		r.dirty = append(r.dirty, p.w)
+	}
+}
+
+// walk fills e.path with the occupancy words of the XY route, the
+// flat-index twin of Mesh2D.walkXY.
 func (e *CostEval) walk(src, dst int) {
 	m := e.m
 	e.path = e.path[:0]
+	e.hops = 0
 	x1, y1 := m.Coords(src)
 	x2, y2 := m.Coords(dst)
 	for x := x1; x != x2; {
@@ -166,7 +192,7 @@ func (e *CostEval) walk(src, dst int) {
 		if x2 < x {
 			dir = -1
 		}
-		e.path = append(e.path, e.linkIndex(x, y1, 0, dir))
+		e.add(e.linkIndex(x, y1, 0, dir))
 		x += dir
 	}
 	for y := y1; y != y2; {
@@ -174,9 +200,20 @@ func (e *CostEval) walk(src, dst int) {
 		if y2 < y {
 			dir = -1
 		}
-		e.path = append(e.path, e.linkIndex(x2, y, 1, dir))
+		e.add(e.linkIndex(x2, y, 1, dir))
 		y += dir
 	}
+}
+
+// add appends link l to the current path.
+func (e *CostEval) add(l int32) {
+	e.hops++
+	w, bit := l>>6, uint64(1)<<(l&63)
+	if n := len(e.path); n > 0 && e.path[n-1].w == w {
+		e.path[n-1].mask |= bit
+		return
+	}
+	e.path = append(e.path, pathWord{w: w, mask: bit})
 }
 
 // linkIndex flattens a directed link to its index in [0, nlinks).

@@ -81,59 +81,20 @@ type linkID struct {
 // affine pattern with long crossing paths slower than a sequence of
 // axis-parallel phases.
 //
-// Messages are greedily packed into conflict-free rounds (in
-// deterministic order); each round costs one startup plus the
-// transfer time of its largest message plus its longest path latency.
-// Messages with Src == Dst are local and cost nothing.
+// Messages are greedily packed into conflict-free rounds in pattern
+// order, each going to the first round whose links it does not
+// share; each round costs one startup plus the transfer time of its
+// largest message plus its longest path latency, summed in round
+// order. Messages with Src == Dst are local and cost nothing. The
+// packing runs on a pooled CostEval, so a warm call allocates
+// nothing and concurrent calls are safe.
 func (m *Mesh2D) Time(msgs []Message) float64 {
-	type round struct {
-		used     map[linkID]bool
-		maxBytes int64
-		maxHops  int
-	}
-	var rounds []*round
-	for _, msg := range msgs {
-		if msg.Src == msg.Dst {
-			continue
-		}
-		var path []linkID
-		m.walkXY(msg.Src, msg.Dst, func(l linkID) { path = append(path, l) })
-		placed := false
-		for _, r := range rounds {
-			free := true
-			for _, l := range path {
-				if r.used[l] {
-					free = false
-					break
-				}
-			}
-			if free {
-				for _, l := range path {
-					r.used[l] = true
-				}
-				if msg.Bytes > r.maxBytes {
-					r.maxBytes = msg.Bytes
-				}
-				if len(path) > r.maxHops {
-					r.maxHops = len(path)
-				}
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			r := &round{used: map[linkID]bool{}, maxBytes: msg.Bytes, maxHops: len(path)}
-			for _, l := range path {
-				r.used[l] = true
-			}
-			rounds = append(rounds, r)
-		}
-	}
-	total := 0.0
-	for _, r := range rounds {
-		total += m.Startup + float64(r.maxBytes)*m.PerByte + float64(r.maxHops)*m.HopLatency
-	}
-	return total
+	e := evalPool.Get().(*CostEval)
+	e.bind(m)
+	t := e.Time(msgs)
+	e.m = nil // the pool must not keep the caller's mesh alive
+	evalPool.Put(e)
+	return t
 }
 
 // walkXY enumerates the links of the XY route from src to dst.
@@ -208,8 +169,8 @@ func (m *Mesh2D) PatternStats(msgs []Message) Stats {
 // message-vectorized execution of a pattern (Section 4.5).
 func Aggregate(msgs []Message) []Message {
 	type key struct{ s, d int }
-	sum := map[key]int64{}
-	var order []key
+	sum := make(map[key]int64, len(msgs))
+	order := make([]key, 0, len(msgs))
 	for _, m := range msgs {
 		k := key{m.Src, m.Dst}
 		if _, ok := sum[k]; !ok {

@@ -23,7 +23,7 @@ func AffineComm2D(m *Mesh2D, dist distrib.Dist2D, t *intmat.Mat, off []int64, n0
 	if len(off) == 0 {
 		off = []int64{0, 0}
 	}
-	var msgs []Message
+	msgs := make([]Message, 0, n0*n1)
 	for i := 0; i < n0; i++ {
 		for j := 0; j < n1; j++ {
 			di := mod(t.At(0, 0)*int64(i)+t.At(0, 1)*int64(j)+off[0], int64(n0))
@@ -54,7 +54,7 @@ func GeneralComm2D(m *Mesh2D, dist distrib.Dist2D, t *intmat.Mat, off []int64, n
 	if len(off) == 0 {
 		off = []int64{0, 0}
 	}
-	var msgs []Message
+	msgs := make([]Message, 0, n0*n1)
 	for i := 0; i < n0; i++ {
 		for j := 0; j < n1; j++ {
 			di := mod(t.At(0, 0)*int64(i)+t.At(0, 1)*int64(j)+off[0], int64(n0))
