@@ -127,7 +127,7 @@ func BenchmarkExample5Ours(b *testing.B) {
 	p := affine.Example5()
 	var resid int
 	for i := 0; i < b.N; i++ {
-		res, err := alignment.Align(p, 2, alignment.Options{})
+		res, err := alignment.Align(nil, p, 2, alignment.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func benchAblationVolume(b *testing.B, opts alignment.Options) {
 	p := affine.PaperExample1()
 	var vol int
 	for i := 0; i < b.N; i++ {
-		res, err := alignment.Align(p, 2, opts)
+		res, err := alignment.Align(nil, p, 2, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -29,7 +29,7 @@ func main() {
 	// Force the owner-computes mapping M_S = [[0,1,0],[0,0,1]] (the
 	// processor owning a(i,j) executes iteration (k,i,j)) and look at
 	// the broadcasts explicitly.
-	ar, err := alignment.Align(prog, 2, alignment.Options{})
+	ar, err := alignment.Align(nil, prog, 2, alignment.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func main() {
 		if c.Access.Write {
 			continue
 		}
-		for _, m := range macro.Detect(ar, c) {
+		for _, m := range macro.Detect(nil, ar, c) {
 			if m.Kind != macro.Broadcast || m.Hidden() {
 				continue
 			}

@@ -28,7 +28,7 @@ func main() {
 	fmt.Printf("macro-first (Platonoff): %d communications preserved as broadcasts, %d local, %d residual\n",
 		len(plat.Preserved), plat.LocalCount(), plat.ResidualCount())
 
-	ours, err := alignment.Align(prog, 2, alignment.Options{})
+	ours, err := alignment.Align(nil, prog, 2, alignment.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 
 func mustAlign(t *testing.T, p *affine.Program, m int, opts Options) *Result {
 	t.Helper()
-	res, err := Align(p, m, opts)
+	res, err := Align(nil, p, m, opts)
 	if err != nil {
 		t.Fatalf("Align(%s, %d): %v", p.Name, m, err)
 	}
@@ -219,7 +219,7 @@ func TestRotateComponent(t *testing.T) {
 
 func TestAlignAllExamples(t *testing.T) {
 	for _, p := range affine.AllExamples() {
-		res, err := Align(p, 2, Options{})
+		res, err := Align(nil, p, 2, Options{})
 		if err != nil {
 			t.Errorf("%s: %v", p.Name, err)
 			continue

@@ -24,7 +24,7 @@ func TestExample5OursVsPlatonoff(t *testing.T) {
 		t.Fatalf("platonoff residuals = %d, want 1 (the preserved broadcast)", pl.ResidualCount())
 	}
 
-	ours, err := alignment.Align(p, 2, alignment.Options{})
+	ours, err := alignment.Align(nil, p, 2, alignment.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestGreedyNeverBeatsEdmondsOnVolume(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
-		a, err := alignment.Align(p, 2, alignment.Options{})
+		a, err := alignment.Align(nil, p, 2, alignment.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}

@@ -7,16 +7,68 @@ import (
 	"repro/internal/intmat"
 )
 
-// PlanShapeRec is the serializable form of one PlanShape, using the
-// same field layout and tags as the engine's plan records so stored
-// artifacts stay human-diffable next to the plan tier.
+// PlanShapeRec is the serializable form of one PlanShape: the one
+// plan-shape layout, shared by stored artifacts and the engine's plan
+// records (which embed it), so both tiers encode and decode a shape
+// the same way.
 type PlanShapeRec struct {
-	Class          int          `json:"class"`
-	Vectorizable   bool         `json:"vec,omitempty"`
-	MacroReduction bool         `json:"red,omitempty"`
-	MacroDims      []int        `json:"mdims,omitempty"`
-	Factors        []intmat.Rec `json:"factors,omitempty"`
-	Dataflow       *intmat.Rec  `json:"dataflow,omitempty"`
+	Class          int  `json:"class"`
+	Vectorizable   bool `json:"vec,omitempty"`
+	MacroReduction bool `json:"red,omitempty"`
+	// MacroDims is PlanShape.MacroDims (store layout v3; v2 recorded a
+	// single MacroDim).
+	MacroDims []int        `json:"mdims,omitempty"`
+	Factors   []intmat.Rec `json:"factors,omitempty"`
+	Dataflow  *intmat.Rec  `json:"dataflow,omitempty"`
+}
+
+// Rec serializes the plan shape.
+func (p PlanShape) Rec() PlanShapeRec {
+	r := PlanShapeRec{
+		Class:          int(p.Class),
+		Vectorizable:   p.Vectorizable,
+		MacroReduction: p.MacroReduction,
+		MacroDims:      p.MacroDims,
+	}
+	for _, f := range p.Factors {
+		r.Factors = append(r.Factors, f.Rec())
+	}
+	if p.Dataflow != nil {
+		dr := p.Dataflow.Rec()
+		r.Dataflow = &dr
+	}
+	return r
+}
+
+var errBadShape = errors.New("compiled: plan record has an invalid class")
+
+// Shape rebuilds the plan shape, rejecting records that do not decode
+// to valid matrices or classes.
+func (r PlanShapeRec) Shape() (PlanShape, error) {
+	if r.Class < int(core.Local) || r.Class > int(core.General) {
+		return PlanShape{}, errBadShape
+	}
+	p := PlanShape{
+		Class:          core.Class(r.Class),
+		Vectorizable:   r.Vectorizable,
+		MacroReduction: r.MacroReduction,
+		MacroDims:      r.MacroDims,
+	}
+	for _, fr := range r.Factors {
+		f, err := intmat.FromRec(fr)
+		if err != nil {
+			return PlanShape{}, err
+		}
+		p.Factors = append(p.Factors, f)
+	}
+	if r.Dataflow != nil {
+		t, err := intmat.FromRec(*r.Dataflow)
+		if err != nil {
+			return PlanShape{}, err
+		}
+		p.Dataflow = t
+	}
+	return p, nil
 }
 
 // ArtifactRec is the serializable form of an Artifact — the unit the
@@ -31,25 +83,10 @@ type ArtifactRec struct {
 func (a *Artifact) Rec() ArtifactRec {
 	rec := ArtifactRec{Key: a.Key, Err: a.Err}
 	for _, p := range a.Plans {
-		pr := PlanShapeRec{
-			Class:          int(p.Class),
-			Vectorizable:   p.Vectorizable,
-			MacroReduction: p.MacroReduction,
-			MacroDims:      p.MacroDims,
-		}
-		for _, f := range p.Factors {
-			pr.Factors = append(pr.Factors, f.Rec())
-		}
-		if p.Dataflow != nil {
-			dr := p.Dataflow.Rec()
-			pr.Dataflow = &dr
-		}
-		rec.Plans = append(rec.Plans, pr)
+		rec.Plans = append(rec.Plans, p.Rec())
 	}
 	return rec
 }
-
-var errBadShape = errors.New("compiled: artifact record has an invalid class")
 
 // FromRec rebuilds an artifact from its stored form, rejecting
 // records that do not decode to valid matrices or classes (callers
@@ -57,28 +94,9 @@ var errBadShape = errors.New("compiled: artifact record has an invalid class")
 func FromRec(rec ArtifactRec) (*Artifact, error) {
 	a := &Artifact{Key: rec.Key, Err: rec.Err, Plans: make([]PlanShape, 0, len(rec.Plans))}
 	for _, pr := range rec.Plans {
-		if pr.Class < int(core.Local) || pr.Class > int(core.General) {
-			return nil, errBadShape
-		}
-		p := PlanShape{
-			Class:          core.Class(pr.Class),
-			Vectorizable:   pr.Vectorizable,
-			MacroReduction: pr.MacroReduction,
-			MacroDims:      pr.MacroDims,
-		}
-		for _, fr := range pr.Factors {
-			f, err := intmat.FromRec(fr)
-			if err != nil {
-				return nil, err
-			}
-			p.Factors = append(p.Factors, f)
-		}
-		if pr.Dataflow != nil {
-			t, err := intmat.FromRec(*pr.Dataflow)
-			if err != nil {
-				return nil, err
-			}
-			p.Dataflow = t
+		p, err := pr.Shape()
+		if err != nil {
+			return nil, err
 		}
 		a.Plans = append(a.Plans, p)
 	}

@@ -141,7 +141,7 @@ func TestMacroSurvivesPipelineOrder(t *testing.T) {
 		}
 	}
 	// and alignment-level invariants still hold
-	if _, err := alignment.Align(affine.PaperExample1(), 2, alignment.Options{}); err != nil {
+	if _, err := alignment.Align(nil, affine.PaperExample1(), 2, alignment.Options{}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -82,7 +82,7 @@ func BenchmarkUncompiledLattice(b *testing.B) {
 				sc := base
 				sc.Machine = ms
 				sc.ElemBytes = eb
-				ent := optimizeCtx(context.Background(), &sc)
+				ent := optimizeCtx(context.Background(), &sc, nil)
 				if ent.err != "" {
 					b.Fatal(ent.err)
 				}

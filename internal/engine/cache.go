@@ -13,7 +13,7 @@ import (
 //
 //   - kernel tier: Hermite normal forms, unimodular inverses and
 //     integer kernel bases, reached from package intmat through the
-//     goroutine-keyed dispatcher in dispatch.go (Get/Put below
+//     intmat.Kernels handle of each plan computation (Get/Put below
 //     implement the intmat.KernelCache interface);
 //   - plan tier: the complete two-step heuristic result per distinct
 //     optimization problem (canonical program + target dimension +

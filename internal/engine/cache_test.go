@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"repro/internal/compiled"
 	"sync"
 	"testing"
 
@@ -176,7 +177,7 @@ func TestStoreTierBadRecords(t *testing.T) {
 	// Corrupt every stored record: invalid class and a broken matrix.
 	st.mu.Lock()
 	for k := range st.m {
-		st.m[k] = memPlan{plans: []PlanRecord{{Class: 99}}}
+		st.m[k] = memPlan{plans: []PlanRecord{{PlanShapeRec: compiled.PlanShapeRec{Class: 99}}}}
 	}
 	st.mu.Unlock()
 	again := Run(s, Options{Workers: 2, Store: st})

@@ -132,3 +132,18 @@ func TestCompiledEvalThroughSessionMatchesRun(t *testing.T) {
 		t.Fatalf("pricer counters did not move: %+v", cs)
 	}
 }
+
+// TestCompiledArtifactKernelTier: artifacts are built on the caller's
+// goroutine, not on a session worker, and their plan computations must
+// still go through the session's kernel memo.
+func TestCompiledArtifactKernelTier(t *testing.T) {
+	suite := scenarios.Generate(scenarios.Config{Seed: 7, Random: 6, NoExamples: true})
+	s := NewSession(Options{Workers: 2})
+	defer s.Close()
+	for i := range suite {
+		s.CompiledArtifact(context.Background(), &suite[i])
+	}
+	if cs := s.CacheStats(); cs.KernelHits+cs.KernelMisses == 0 {
+		t.Fatalf("compiled artifacts bypassed the kernel tier: %+v", cs)
+	}
+}

@@ -12,23 +12,14 @@ import (
 	"repro/internal/trace"
 )
 
-// PlanRecord is the serializable projection of one core.Plan: exactly
-// the fields the cost models and batch aggregation read. It is the
-// unit the disk tier persists, so a plan loaded from a warm store
-// yields byte-identical batch results to a cold recomputation.
+// PlanRecord is the serializable projection of one core.Plan: its
+// plan shape — exactly the fields the cost models and batch
+// aggregation read, encoded by package compiled — plus compute-cost
+// attribution. It is the unit the disk tier persists, so a plan loaded
+// from a warm store yields byte-identical batch results to a cold
+// recomputation.
 type PlanRecord struct {
-	Class          int  `json:"class"`
-	Vectorizable   bool `json:"vec,omitempty"`
-	MacroReduction bool `json:"red,omitempty"`
-	// MacroDims lists the virtual grid axes a partial axis-parallel
-	// macro-communication spans (sorted; one axis for p=1, several for
-	// p ≥ 2), or is empty for total/hidden/non-axis macros. The mesh
-	// collective selector schedules one-axis macros along their lines
-	// and multi-axis ones per plane (store layout v3; v2 recorded a
-	// single MacroDim).
-	MacroDims []int        `json:"mdims,omitempty"`
-	Factors   []intmat.Rec `json:"factors,omitempty"`
-	Dataflow  *intmat.Rec  `json:"dataflow,omitempty"`
+	compiled.PlanShapeRec
 
 	// ComputeUs, AlignUs, KernelUs and KernelOps are set on the first
 	// record of an entry only: the wall-clock cost of the heuristic
@@ -56,7 +47,7 @@ type PlanStore interface {
 
 // KernelStore is the optional disk tier behind the kernel memo cache
 // (Hermite forms, unimodular inverses, kernel bases), keyed by the
-// same op:key scheme the intmat memo hooks use. A PlanStore that also
+// same op:key scheme intmat.Kernels uses. A PlanStore that also
 // implements KernelStore (internal/store does) gets kernel-tier
 // persistence wired in automatically, so cold starts skip the exact
 // linear algebra, not just the plan construction. The same
@@ -84,23 +75,27 @@ type planEntry struct {
 
 // optimizeCtx computes a plan entry from scratch via the full
 // two-step heuristic, projecting the result down to what costing
-// needs and recording the compute-cost attribution. When ctx carries
-// an active trace it adds an "optimize" span with "alignment",
-// "macro", "decompose" (from core) and an accumulated "kernel" child.
-func optimizeCtx(ctx context.Context, sc *scenarios.Scenario) planEntry {
+// needs and recording the compute-cost attribution. Its kernels go
+// through cache (nil: the cache-disabled ablation, no memo). When ctx
+// carries an active trace it adds an "optimize" span with
+// "alignment", "macro", "decompose" (from core) and an accumulated
+// "kernel" child.
+func optimizeCtx(ctx context.Context, sc *scenarios.Scenario, cache *Cache) planEntry {
 	ctx, sp := trace.StartSpan(ctx, "optimize")
 	t0 := time.Now()
-	stop := trackKernels()
-	res, err := core.OptimizeCtx(ctx, sc.Program, sc.M, sc.Opts)
-	kdur, kops := stop()
-	if kops > 0 {
-		trace.AddSpan(ctx, "kernel", t0, kdur,
-			map[string]string{"ops": strconv.Itoa(kops)})
+	k := &intmat.Kernels{}
+	if cache != nil {
+		k.Cache = cache
+	}
+	res, err := core.OptimizeCtx(core.WithKernels(ctx, k), sc.Program, sc.M, sc.Opts)
+	if k.Ops > 0 {
+		trace.AddSpan(ctx, "kernel", t0, k.Dur,
+			map[string]string{"ops": strconv.Itoa(k.Ops)})
 	}
 	ent := planEntry{
 		computeUs: usSince(t0),
-		kernelUs:  float64(kdur) / 1e3,
-		kernelOps: kops,
+		kernelUs:  float64(k.Dur) / 1e3,
+		kernelOps: k.Ops,
 	}
 	if err != nil {
 		ent.err = err.Error()
@@ -117,20 +112,7 @@ func optimizeCtx(ctx context.Context, sc *scenarios.Scenario) planEntry {
 func toRecords(ent planEntry) ([]PlanRecord, string) {
 	recs := make([]PlanRecord, 0, len(ent.plans))
 	for _, p := range ent.plans {
-		r := PlanRecord{
-			Class:          int(p.Class),
-			Vectorizable:   p.Vectorizable,
-			MacroReduction: p.MacroReduction,
-			MacroDims:      p.MacroDims,
-		}
-		for _, f := range p.Factors {
-			r.Factors = append(r.Factors, f.Rec())
-		}
-		if p.Dataflow != nil {
-			rec := p.Dataflow.Rec()
-			r.Dataflow = &rec
-		}
-		recs = append(recs, r)
+		recs = append(recs, PlanRecord{PlanShapeRec: p.Rec()})
 	}
 	if len(recs) > 0 {
 		recs[0].ComputeUs = ent.computeUs
@@ -147,28 +129,9 @@ func toRecords(ent planEntry) ([]PlanRecord, string) {
 func fromRecords(recs []PlanRecord, errMsg string) (planEntry, error) {
 	ent := planEntry{err: errMsg, plans: make([]compiled.PlanShape, 0, len(recs))}
 	for _, r := range recs {
-		if r.Class < int(core.Local) || r.Class > int(core.General) {
-			return planEntry{}, errBadRecord{}
-		}
-		p := compiled.PlanShape{
-			Class:          core.Class(r.Class),
-			Vectorizable:   r.Vectorizable,
-			MacroReduction: r.MacroReduction,
-			MacroDims:      r.MacroDims,
-		}
-		for _, fr := range r.Factors {
-			f, err := intmat.FromRec(fr)
-			if err != nil {
-				return planEntry{}, err
-			}
-			p.Factors = append(p.Factors, f)
-		}
-		if r.Dataflow != nil {
-			t, err := intmat.FromRec(*r.Dataflow)
-			if err != nil {
-				return planEntry{}, err
-			}
-			p.Dataflow = t
+		p, err := r.Shape()
+		if err != nil {
+			return planEntry{}, err
 		}
 		ent.plans = append(ent.plans, p)
 	}
@@ -180,10 +143,6 @@ func fromRecords(recs []PlanRecord, errMsg string) (planEntry, error) {
 	}
 	return ent, nil
 }
-
-type errBadRecord struct{}
-
-func (errBadRecord) Error() string { return "engine: plan record has an invalid class" }
 
 // ValidateRecords reports whether the records decode to a valid plan
 // entry — the check the engine applies before trusting disk or peer

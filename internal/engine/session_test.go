@@ -13,9 +13,9 @@ import (
 // a 2-node in-process cluster runs two daemons, each with its own
 // engine session. Two overlapping sessions (one cached, one with the
 // cache-disabled ablation) must both complete, produce identical
-// results, and keep their cache accounting separate: the dispatcher
-// routes kernels to the cache of the session whose worker computed
-// them, and the ablation session sees no cache at all.
+// results, and keep their cache accounting separate: each plan
+// computation takes its kernels through its own session's cache, and
+// the ablation session sees no cache at all.
 func TestConcurrentSessions(t *testing.T) {
 	s := scenarios.Generate(scenarios.Config{Seed: 7, Random: 6, NoExamples: true})
 	cached := NewSession(Options{Workers: 2})
@@ -37,7 +37,7 @@ func TestConcurrentSessions(t *testing.T) {
 		t.Error("cached session's kernel tier saw no traffic")
 	}
 	if ba.Cache != (CacheStats{}) {
-		t.Errorf("cache-disabled session accumulated stats %+v — kernel dispatch leaked across sessions", ba.Cache)
+		t.Errorf("cache-disabled session accumulated stats %+v — kernel memo leaked across sessions", ba.Cache)
 	}
 }
 

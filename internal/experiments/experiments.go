@@ -212,7 +212,7 @@ type Example5Result struct {
 // one partial broadcast per time step; ours is communication-free.
 func Example5(procs, nSteps int, bytes int64) (Example5Result, error) {
 	p := affine.Example5()
-	ours, err := alignment.Align(p, 2, alignment.Options{})
+	ours, err := alignment.Align(nil, p, 2, alignment.Options{})
 	if err != nil {
 		return Example5Result{}, err
 	}

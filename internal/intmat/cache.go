@@ -2,131 +2,112 @@ package intmat
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
 // KernelCache is a memo store for the expensive kernels of this
 // package (Hermite normal forms and integer kernel bases).
 // Implementations must be safe for concurrent use; package engine
-// provides one. Keys are canonical (operation-prefixed Mat.Key), so
-// a hit is always the exact result of the same computation. The
-// values stored under the keys are private to this package.
+// provides one, and a Kernels handle consults it. Keys are canonical
+// (operation-prefixed Mat.Key), so a hit is always the exact result
+// of the same computation. The values stored under the keys are
+// private to this package.
 type KernelCache interface {
 	Get(key string) (any, bool)
 	Put(key string, v any)
 }
 
-// kernelCache holds the installed cache. An atomic.Value of a boxed
-// interface allows lock-free reads on the hot path and tolerates
-// concurrent SetKernelCache calls.
-var kernelCache atomic.Value // of kernelCacheBox
-
-type kernelCacheBox struct{ c KernelCache }
-
-// SetKernelCache installs c as the memo store consulted by
-// HermiteLeft, HermiteRight, InverseUnimodular and KernelBasis; nil
-// disables memoization (the default). Results handed to callers are
-// deep copies of the cached matrices, so a hit is observationally
-// identical to recomputation and callers may freely mutate what they
-// receive.
-func SetKernelCache(c KernelCache) { kernelCache.Store(kernelCacheBox{c}) }
-
-func getKernelCache() KernelCache {
-	if b, ok := kernelCache.Load().(kernelCacheBox); ok {
-		return b.c
-	}
-	return nil
+// Kernels is one computation's handle on the kernel memo: the cache
+// its Hermite forms, unimodular inverses and kernel bases are looked
+// up in and stored to, and the cost of the kernels it had to compute.
+// Dur and Ops accumulate the wall-clock time and count of every
+// kernel not served by Cache (all of them when Cache is nil); hits
+// are not counted, so they attribute compute cost, not lookup cost.
+//
+// Results handed to callers are deep copies of the cached matrices,
+// so a hit is observationally identical to recomputation and callers
+// may freely mutate what they receive. A nil *Kernels computes every
+// kernel directly, with no key hashing and no timing. A Kernels
+// belongs to one computation and is not safe for concurrent use; the
+// Cache behind it may be shared.
+type Kernels struct {
+	Cache KernelCache
+	Dur   time.Duration
+	Ops   int
 }
 
-// kernelObserver holds the installed cost observer, boxed like
-// kernelCache so the hot path reads it lock-free.
-var kernelObserver atomic.Value // of kernelObserverBox
+// HermiteLeft is the memoized HermiteLeft.
+func (k *Kernels) HermiteLeft(m *Mat) (Q, H *Mat) {
+	p := memo(k, "hnfL", m, func(m *Mat) matPair {
+		q, h := HermiteLeft(m)
+		return matPair{q, h}
+	}, matPair.clone)
+	return p.a, p.b
+}
 
-type kernelObserverBox struct{ fn func(time.Duration) }
+// InverseUnimodular is the memoized InverseUnimodular.
+func (k *Kernels) InverseUnimodular(m *Mat) *Mat {
+	return memo(k, "inv", m, InverseUnimodular, (*Mat).Clone)
+}
 
-// SetKernelObserver installs fn to receive the wall-clock duration of
-// every kernel computation that was NOT served from the memo cache
-// (cache misses, and all computations while no cache is installed);
-// nil disables observation (the default). fn must be safe for
-// concurrent use — kernels compute on every engine worker. Cache hits
-// are not reported: the observer attributes compute cost, not lookup
-// cost.
-func SetKernelObserver(fn func(time.Duration)) { kernelObserver.Store(kernelObserverBox{fn}) }
+// KernelBasis is the memoized KernelBasis.
+func (k *Kernels) KernelBasis(m *Mat) *Mat {
+	return memo(k, "ker", m, KernelBasis, (*Mat).Clone)
+}
 
-// timeKernel starts timing one kernel computation and returns the
-// stop function reporting it to the installed observer (a no-op
-// without one).
-func timeKernel() func() {
-	b, _ := kernelObserver.Load().(kernelObserverBox)
-	if b.fn == nil {
-		return func() {}
+// LeftKernelBasis is the memoized LeftKernelBasis.
+func (k *Kernels) LeftKernelBasis(m *Mat) *Mat {
+	return k.KernelBasis(m.Transpose()).Transpose()
+}
+
+// KernelIntersection is the memoized KernelIntersection.
+func (k *Kernels) KernelIntersection(ms ...*Mat) *Mat {
+	return k.KernelBasis(stackNonEmpty(ms))
+}
+
+// memo memoizes one kernel under op+":"+m.Key(), cloning on both
+// store and load, and charges a computed (not cached) kernel to k;
+// with a nil k it only computes. A cached value of the wrong type
+// (possible only if a persistence layer fed back a record under the
+// wrong key) is ignored and recomputed.
+func memo[T any](k *Kernels, op string, m *Mat, compute func(*Mat) T, clone func(T) T) T {
+	if k == nil {
+		return compute(m)
+	}
+	var key string
+	if k.Cache != nil {
+		key = op + ":" + m.Key()
+		if v, ok := k.Cache.Get(key); ok {
+			if r, ok := v.(T); ok {
+				return clone(r)
+			}
+		}
 	}
 	t0 := time.Now()
-	return func() { b.fn(time.Since(t0)) }
+	r := compute(m)
+	k.Dur += time.Since(t0)
+	k.Ops++
+	if k.Cache != nil {
+		k.Cache.Put(key, clone(r))
+	}
+	return r
 }
 
 // matPair is the cached value of a two-matrix kernel result.
 type matPair struct{ a, b *Mat }
 
-// memoPair memoizes a kernel returning two matrices under
-// op+":"+m.Key(), cloning on both store and load. A cached value of
-// the wrong shape (possible only if a persistence layer fed back a
-// record under the wrong key) is ignored and recomputed.
-func memoPair(op string, m *Mat, compute func(*Mat) (*Mat, *Mat)) (*Mat, *Mat) {
-	c := getKernelCache()
-	if c == nil {
-		stop := timeKernel()
-		a, b := compute(m)
-		stop()
-		return a, b
-	}
-	key := op + ":" + m.Key()
-	if v, ok := c.Get(key); ok {
-		if p, ok := v.(matPair); ok {
-			return p.a.Clone(), p.b.Clone()
-		}
-	}
-	stop := timeKernel()
-	a, b := compute(m)
-	stop()
-	c.Put(key, matPair{a.Clone(), b.Clone()})
-	return a, b
-}
-
-// memoOne memoizes a single-matrix kernel.
-func memoOne(op string, m *Mat, compute func(*Mat) *Mat) *Mat {
-	c := getKernelCache()
-	if c == nil {
-		stop := timeKernel()
-		r := compute(m)
-		stop()
-		return r
-	}
-	key := op + ":" + m.Key()
-	if v, ok := c.Get(key); ok {
-		if r, ok := v.(*Mat); ok {
-			return r.Clone()
-		}
-	}
-	stop := timeKernel()
-	r := compute(m)
-	stop()
-	c.Put(key, r.Clone())
-	return r
-}
+func (p matPair) clone() matPair { return matPair{p.a.Clone(), p.b.Clone()} }
 
 // KernelRec is the portable, JSON-serializable form of one kernel
 // memo value — a single matrix or a pair — so a disk tier can persist
 // the kernel cache (Hermite forms, unimodular inverses, kernel bases)
-// under the same op:key scheme the memo hooks use.
+// under the same op:key scheme Kernels uses.
 type KernelRec struct {
 	A Rec  `json:"a"`
 	B *Rec `json:"b,omitempty"`
 }
 
-// EncodeKernelValue serializes a value produced by the kernel memo
-// hooks; ok is false for foreign values (which a persistence layer
+// EncodeKernelValue serializes a value a Kernels handle stored; ok is false for foreign values (which a persistence layer
 // must simply skip).
 func EncodeKernelValue(v any) (KernelRec, bool) {
 	switch t := v.(type) {

@@ -140,10 +140,8 @@ func rowReduce(m *Mat) reduction {
 // paper's appendix (Definition 1, stated there with the lower/upper
 // convention mirrored).
 func HermiteLeft(m *Mat) (Q, H *Mat) {
-	return memoPair("hnfL", m, func(m *Mat) (*Mat, *Mat) {
-		red := rowReduce(m)
-		return fromBig(red.Q), fromBig(red.H)
-	})
+	red := rowReduce(m)
+	return fromBig(red.Q), fromBig(red.H)
 }
 
 // HermiteRight returns the column Hermite normal form H and a
@@ -160,14 +158,11 @@ func InverseUnimodular(m *Mat) *Mat {
 	if !m.IsSquare() {
 		panic("intmat: InverseUnimodular of non-square matrix")
 	}
-	return memoOne("inv", m, func(m *Mat) *Mat {
-		red := rowReduce(m)
-		H := fromBig(red.H)
-		if !H.IsIdentity() {
-			panic("intmat: InverseUnimodular of non-unimodular matrix " + m.String())
-		}
-		return fromBig(red.U)
-	})
+	red := rowReduce(m)
+	if !fromBig(red.H).IsIdentity() {
+		panic("intmat: InverseUnimodular of non-unimodular matrix " + m.String())
+	}
+	return fromBig(red.U)
 }
 
 // LeftInverseInt returns an integer matrix G with G·F = Id (F of size

@@ -10,10 +10,6 @@ import "math/big"
 // The basis is obtained from the column Hermite reduction m·V = [B 0]:
 // the trailing columns of the unimodular V span the kernel.
 func KernelBasis(m *Mat) *Mat {
-	return memoOne("ker", m, kernelBasis)
-}
-
-func kernelBasis(m *Mat) *Mat {
 	rows, cols := m.rows, m.cols
 	W := m.toBig()
 	V := bigIdentity(cols)
@@ -107,6 +103,11 @@ func LeftKernelBasis(m *Mat) *Mat {
 // vertical stack. All matrices must have the same column count.
 // Matrices with zero rows are treated as "no constraint".
 func KernelIntersection(ms ...*Mat) *Mat {
+	return KernelBasis(stackNonEmpty(ms))
+}
+
+// stackNonEmpty stacks the non-empty matrices of ms vertically.
+func stackNonEmpty(ms []*Mat) *Mat {
 	var stacked *Mat
 	for _, m := range ms {
 		if m == nil || m.rows == 0 {
@@ -121,7 +122,7 @@ func KernelIntersection(ms ...*Mat) *Mat {
 	if stacked == nil {
 		panic("intmat: KernelIntersection needs at least one non-empty matrix")
 	}
-	return KernelBasis(stacked)
+	return stacked
 }
 
 // InKernel reports whether m·v = 0.

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"reflect"
+	"repro/internal/compiled"
 	"testing"
 
 	"repro/internal/engine"
@@ -14,7 +15,7 @@ import (
 func TestExportApplyRoundTrip(t *testing.T) {
 	src, dst := openTemp(t), openTemp(t)
 	key := "m=2|opts={}|for i {\n a[i]=b[i]\n}"
-	recs := []engine.PlanRecord{{Class: 1, Vectorizable: true}}
+	recs := []engine.PlanRecord{{PlanShapeRec: compiled.PlanShapeRec{Class: 1, Vectorizable: true}}}
 	src.PutPlan(key, recs, "")
 
 	addr := PlanAddr(key)
@@ -42,7 +43,7 @@ func TestExportPlanRejects(t *testing.T) {
 	}
 	// A present plan exports fine; a different key's address stays a
 	// miss even with files on disk.
-	st.PutPlan("real key", []engine.PlanRecord{{Class: 0}}, "")
+	st.PutPlan("real key", []engine.PlanRecord{{PlanShapeRec: compiled.PlanShapeRec{Class: 0}}}, "")
 	if _, _, _, ok := st.ExportPlan(PlanAddr("real key")); !ok {
 		t.Error("stored plan did not export")
 	}
@@ -58,13 +59,13 @@ func TestApplyPlanValidates(t *testing.T) {
 	if err := st.ApplyPlan("", nil, ""); err == nil {
 		t.Error("empty key accepted")
 	}
-	if err := st.ApplyPlan("k", []engine.PlanRecord{{Class: 99}}, ""); err == nil {
+	if err := st.ApplyPlan("k", []engine.PlanRecord{{PlanShapeRec: compiled.PlanShapeRec{Class: 99}}}, ""); err == nil {
 		t.Error("invalid class accepted")
 	}
 	if _, _, ok := st.GetPlan("k"); ok {
 		t.Error("rejected plan was persisted anyway")
 	}
-	if err := st.ApplyPlan("k", []engine.PlanRecord{{Class: 1}}, ""); err != nil {
+	if err := st.ApplyPlan("k", []engine.PlanRecord{{PlanShapeRec: compiled.PlanShapeRec{Class: 1}}}, ""); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
 	}
 }

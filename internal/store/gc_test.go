@@ -3,6 +3,7 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"repro/internal/compiled"
 	"testing"
 	"time"
 
@@ -16,7 +17,7 @@ func seedPlans(t *testing.T, s *Store, n int) []string {
 	keys := make([]string, n)
 	for i := range keys {
 		keys[i] = "key-" + string(rune('a'+i%26)) + "-" + filepath.Base(t.Name()) + "-" + time.Now().Format("150405") + "-" + string(rune('0'+i/26))
-		s.PutPlan(keys[i], []engine.PlanRecord{{Class: 0}}, "")
+		s.PutPlan(keys[i], []engine.PlanRecord{{PlanShapeRec: compiled.PlanShapeRec{Class: 0}}}, "")
 	}
 	if got := countPlans(t, s); got != n {
 		t.Fatalf("seeded %d plan files, want %d", got, n)
@@ -67,7 +68,7 @@ func TestGCAge(t *testing.T) {
 	keys := seedPlans(t, s, 6)
 	backdate(t, s, 48*time.Hour)
 	fresh := "fresh-key"
-	s.PutPlan(fresh, []engine.PlanRecord{{Class: 1}}, "")
+	s.PutPlan(fresh, []engine.PlanRecord{{PlanShapeRec: compiled.PlanShapeRec{Class: 1}}}, "")
 
 	res, err := s.GC(GCOptions{MaxAge: 24 * time.Hour})
 	if err != nil {

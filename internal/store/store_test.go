@@ -95,7 +95,7 @@ func TestWarmStartByteIdentical(t *testing.T) {
 // error string exactly.
 func TestPlanRoundTrip(t *testing.T) {
 	st := openTemp(t)
-	recs := []engine.PlanRecord{{Class: 1, Vectorizable: true, MacroReduction: true}}
+	recs := []engine.PlanRecord{{PlanShapeRec: compiled.PlanShapeRec{Class: 1, Vectorizable: true, MacroReduction: true}}}
 	st.PutPlan("some key", recs, "")
 	got, errMsg, ok := st.GetPlan("some key")
 	if !ok || errMsg != "" || !reflect.DeepEqual(got, recs) {
@@ -120,7 +120,7 @@ func TestPlanRoundTrip(t *testing.T) {
 // engine recomputes and heals them.
 func TestCorruptFilesSkipped(t *testing.T) {
 	st := openTemp(t)
-	st.PutPlan("key A", []engine.PlanRecord{{Class: 2}}, "")
+	st.PutPlan("key A", []engine.PlanRecord{{PlanShapeRec: compiled.PlanShapeRec{Class: 2}}}, "")
 	path := st.planPath("key A")
 
 	for name, corrupt := range map[string][]byte{
@@ -140,7 +140,7 @@ func TestCorruptFilesSkipped(t *testing.T) {
 	}
 
 	// A key-mismatched file (e.g. moved between stores) is a miss too.
-	st.PutPlan("key B", []engine.PlanRecord{{Class: 3}}, "")
+	st.PutPlan("key B", []engine.PlanRecord{{PlanShapeRec: compiled.PlanShapeRec{Class: 3}}}, "")
 	data, err := os.ReadFile(st.planPath("key B"))
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ func TestCheckAllExamples(t *testing.T) {
 	// alignment claims local generates no irregular traffic on a
 	// concrete 4^d domain.
 	for _, p := range affine.AllExamples() {
-		res, err := alignment.Align(p, 2, alignment.Options{})
+		res, err := alignment.Align(nil, p, 2, alignment.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
@@ -25,7 +25,7 @@ func TestCheckAllExamples(t *testing.T) {
 }
 
 func TestRunCountsExample1(t *testing.T) {
-	res, err := alignment.Align(affine.PaperExample1(), 2, alignment.Options{})
+	res, err := alignment.Align(nil, affine.PaperExample1(), 2, alignment.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestRunCountsExample1(t *testing.T) {
 func TestJacobiTranslations(t *testing.T) {
 	// Jacobi's shifted reads are local in the non-local-term sense:
 	// on a concrete domain they appear as pure translations.
-	res, err := alignment.Align(affine.Jacobi(), 2, alignment.Options{})
+	res, err := alignment.Align(nil, affine.Jacobi(), 2, alignment.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestFuzzAlignmentSoundness(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("trial %d: generator produced invalid program: %v", trial, err)
 		}
-		res, err := alignment.Align(p, 2, alignment.Options{Seed: int64(trial)})
+		res, err := alignment.Align(nil, p, 2, alignment.Options{Seed: int64(trial)})
 		if err != nil {
 			// rank-starved random programs may legitimately fail to
 			// instantiate; that is a reported error, not a panic.
@@ -140,7 +140,7 @@ func TestFuzzAlignmentSoundness(t *testing.T) {
 }
 
 func TestRunRejectsBadDomain(t *testing.T) {
-	res, err := alignment.Align(affine.MatMul(), 2, alignment.Options{})
+	res, err := alignment.Align(nil, affine.MatMul(), 2, alignment.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
