@@ -367,7 +367,9 @@ type CacheStats struct {
 	SelectMisses     uint64 `json:"select_misses"`
 	// Compiled* mirror the compiled-plan tier: artifact lookups in the
 	// memory cache and the disk tier behind it, plus the pricer's
-	// selection-template cache and evaluation counter.
+	// selection-template cache and evaluation counter, and its
+	// mesh-pattern template cache (CompiledPattern*: general plans,
+	// decomposed phases, translations).
 	CompiledHits           uint64 `json:"compiled_hits"`
 	CompiledMisses         uint64 `json:"compiled_misses"`
 	CompiledDiskHits       uint64 `json:"compiled_disk_hits"`
@@ -376,6 +378,9 @@ type CacheStats struct {
 	CompiledTemplateHits   uint64 `json:"compiled_template_hits"`
 	CompiledTemplateMisses uint64 `json:"compiled_template_misses"`
 	CompiledEvals          uint64 `json:"compiled_evals"`
+	CompiledPatterns       int    `json:"compiled_patterns"`
+	CompiledPatternHits    uint64 `json:"compiled_pattern_hits"`
+	CompiledPatternMisses  uint64 `json:"compiled_pattern_misses"`
 	Evictions              uint64 `json:"evictions"`
 	Entries                int    `json:"entries"`
 }

@@ -14,18 +14,19 @@
 // Θ(1) startups per processor. This package models those schedules
 // concretely:
 //
-//   - every mesh algorithm emits per-round []machine.Message
-//     schedules that are priced through Mesh2D.Time, so link
-//     contention — the serialization of messages sharing a directed
-//     mesh link — is charged exactly as for any other pattern;
+//   - every mesh algorithm, tree or permute, emits per-round
+//     schedules whose contention partition is packed by the same
+//     machine.CostEval as Mesh2D.Time, so link contention — the
+//     serialization of messages sharing a directed mesh link — is
+//     charged exactly as for any other pattern;
 //   - the fat tree keeps its hardware combining-network collectives
 //     as fixed-cost algorithms the selector can choose, next to
 //     software trees over the data network;
 //   - Select* evaluates every applicable algorithm against the
 //     concrete machine instance and returns the cheapest — mesh
 //     selections through compiled byte-symbolic templates (see
-//     MeshTemplate) that price exactly what the concrete rounds
-//     cost — with
+//     MeshTemplate and PermuteTemplate) that price exactly what the
+//     concrete rounds cost — with
 //     deterministic tie-breaking (first algorithm in registry order
 //     wins ties), so repeated selections are byte-identical.
 //

@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/collective"
 	"repro/internal/compiled"
+	"repro/internal/distrib"
+	"repro/internal/intmat"
 	"repro/internal/machine"
 )
 
@@ -192,4 +194,108 @@ func TestMeshSelectionOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// oracleDists are the scenario generator's four distributions.
+var oracleDists = []distrib.Dist2D{
+	{D0: distrib.Block{}, D1: distrib.Block{}},
+	{D0: distrib.Cyclic{}, D1: distrib.Cyclic{}},
+	{D0: distrib.BlockCyclic{B: 4}, D1: distrib.Block{}},
+	{D0: distrib.Grouped{K: 2}, D1: distrib.Block{}},
+}
+
+// oracleAffine are affine maps (i, j) → T·(i, j)ᵗ + off of the kinds
+// the engine prices as mesh patterns: elementary decomposition
+// factors, a general data flow, the transpose stand-in, and the unit
+// translation.
+var oracleAffine = []struct {
+	t   *intmat.Mat
+	off []int64
+}{
+	{intmat.New(2, 2, 1, 2, 0, 1), nil},
+	{intmat.New(2, 2, 1, 0, 3, 1), nil},
+	{intmat.New(2, 2, 1, 2, 3, 7), nil},
+	{intmat.New(2, 2, 0, 1, 1, 0), nil},
+	{intmat.Identity(2), []int64{1, 1}},
+}
+
+// oraclePatternPayloads are per-element sizes, from empty to large.
+var oraclePatternPayloads = []int64{0, 1, 64, 4096, 1 << 22}
+
+// calibrated returns the mesh geometry under a non-default link-cost
+// calibration.
+func calibrated(p, q int) *machine.Mesh2D {
+	return &machine.Mesh2D{P: p, Q: q, Startup: 37.5, PerByte: 0.003, HopLatency: 1.25}
+}
+
+// TestPermuteTemplateOracle holds the compiled permute selection to
+// its concrete oracle. A PermuteTemplate compiled once from the
+// pattern at one byte per element must, at every per-element payload
+// and under both link-cost calibrations, choose exactly the algorithm
+// MeshCost over PermuteRounds of the pattern built at that payload
+// picks (first algorithm winning ties), with the same cost and round
+// count, and SelectPermute over the concrete pattern must agree. A
+// force naming no permute algorithm selects freely. The template's
+// "direct" schedule over the element-wise general pattern must cost
+// exactly Mesh2D.Time of that pattern.
+func TestPermuteTemplateOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive concrete-pattern oracle")
+	}
+	forces := append([]string{"", "flat"}, collective.PermuteAlgorithms()...)
+	for _, sh := range oracleMeshes {
+		meshes := []*machine.Mesh2D{machine.DefaultMesh(sh[0], sh[1]), calibrated(sh[0], sh[1])}
+		m0 := meshes[0]
+		for _, dist := range oracleDists {
+			for _, n := range []int{16, 32} {
+				for _, af := range oracleAffine {
+					unit := machine.AffineComm2D(m0, dist, af.t, af.off, n, n, 1)
+					tmpls := make([]*collective.PermuteTemplate, len(forces))
+					for i, force := range forces {
+						tmpls[i] = collective.NewPermuteTemplate(m0, unit, force)
+					}
+					general := collective.NewPermuteTemplate(m0, machine.GeneralComm2D(m0, dist, af.t, af.off, n, n, 1), "direct")
+					for _, eb := range oraclePatternPayloads {
+						msgs := machine.AffineComm2D(m0, dist, af.t, af.off, n, n, eb)
+						elems := machine.GeneralComm2D(m0, dist, af.t, af.off, n, n, eb)
+						for _, m := range meshes {
+							ctxt := fmt.Sprintf("%dx%d (startup %g) %s n=%d T=%v off=%v eb=%d",
+								m.P, m.Q, m.Startup, dist.Name(), n, af.t, af.off, eb)
+							var oracle []candidate
+							for _, algo := range collective.PermuteAlgorithms() {
+								rounds := collective.PermuteRounds(m, msgs, algo)
+								oracle = append(oracle, candidate{algo: algo, cost: collective.MeshCost(m, rounds), rounds: len(rounds)})
+							}
+							for i, force := range forces {
+								want := cheapest(pinned(oracle, force))
+								got := tmpls[i].Eval(m, eb)
+								if got.Pattern != collective.Shift || got.Algorithm != want.algo || got.Cost != want.cost || got.Rounds != want.rounds {
+									t.Fatalf("%s force=%q: template %+v, concrete oracle %s at %v in %d rounds",
+										ctxt, force, got, want.algo, want.cost, want.rounds)
+								}
+								if sel := collective.SelectPermute(m, msgs, force); sel != got {
+									t.Fatalf("%s force=%q: SelectPermute %+v, template %+v", ctxt, force, sel, got)
+								}
+							}
+							got := general.Eval(m, eb)
+							if want := m.Time(elems); got.Algorithm != "direct" || got.Cost != want || got.Rounds != 1 {
+								t.Fatalf("%s: general direct %+v, Mesh2D.Time %v", ctxt, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// cheapest returns the first lowest-cost candidate.
+func cheapest(cands []candidate) candidate {
+	best := cands[0]
+	for _, c := range cands[1:] {
+		if c.cost < best.cost {
+			best = c
+		}
+	}
+	return best
 }

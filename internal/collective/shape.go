@@ -201,24 +201,27 @@ func shapeChain(m *machine.Mesh2D, ls [][]int) []shapeVariant {
 }
 
 // shapeChainSeg: the chain schedule with exactly s segments; segment
-// j reaches line position i (1-based) in round i−1+j.
+// j reaches line position i (1-based) in round i−1+j, so round t
+// carries the positions i in [t−s+2, t+1], clipped to each line.
 func shapeChainSeg(ls [][]int, s int) []shapeRound {
 	n := maxLineLen(ls)
 	var rounds []shapeRound
 	for t := 0; t < n-1+s-1; t++ {
-		var r shapeRound
+		lo := max(1, t-s+2)
+		cnt := 0
 		for _, line := range ls {
-			for i := 1; i < len(line); i++ {
-				j := t - (i - 1)
-				if j < 0 || j >= s {
-					continue
-				}
+			cnt += max(0, min(t+1, len(line)-1)-lo+1)
+		}
+		if cnt == 0 {
+			continue
+		}
+		r := make(shapeRound, 0, cnt)
+		for _, line := range ls {
+			for i := lo; i <= min(t+1, len(line)-1); i++ {
 				r = append(r, shapeMsg{src: line[i-1], dst: line[i], coef: 1, div: int64(s)})
 			}
 		}
-		if len(r) > 0 {
-			rounds = append(rounds, r)
-		}
+		rounds = append(rounds, r)
 	}
 	return rounds
 }
@@ -259,14 +262,19 @@ func shapeScatterAllgather(m *machine.Mesh2D, ls [][]int) []shapeVariant {
 			rounds = append(rounds, r)
 		}
 	}
-	for t := 0; t < n-1; t++ {
-		r := make(shapeRound, 0, len(ls))
-		for _, line := range ls {
-			for i := range line {
-				r = append(r, shapeMsg{src: line[i], dst: line[(i+1)%len(line)], coef: 1, div: div})
-			}
+	// The n−1 ring rounds are identical and share one slice.
+	nmsgs := 0
+	for _, line := range ls {
+		nmsgs += len(line)
+	}
+	ring := make(shapeRound, 0, nmsgs)
+	for _, line := range ls {
+		for i := range line {
+			ring = append(ring, shapeMsg{src: line[i], dst: line[(i+1)%len(line)], coef: 1, div: div})
 		}
-		rounds = append(rounds, r)
+	}
+	for t := 0; t < n-1; t++ {
+		rounds = append(rounds, ring)
 	}
 	return []shapeVariant{{rounds: rounds}}
 }

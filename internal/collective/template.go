@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/machine"
 )
@@ -90,16 +91,24 @@ func foldRounds(rounds []pricedRound, m *machine.Mesh2D, bytes int64, start floa
 // the pattern: reductions compile their mirrored execution (reversed
 // rounds, swapped endpoints), whose paths — and therefore contention
 // partition — differ from the broadcast orientation under XY routing.
+// A round equal to the round executed before it (the ring allgather's
+// n−1 rounds, the pipelined chain's steady state) shares that round's
+// compiled partition instead of being packed again.
 func (e *evaluator) compileSeq(shapes []shapeRound, p Pattern) []pricedRound {
 	out := make([]pricedRound, len(shapes))
-	if p == Reduction {
-		for i := len(shapes) - 1; i >= 0; i-- {
-			out[len(shapes)-1-i] = e.compileRound(shapes[i], true)
+	mirror := p == Reduction
+	var prev shapeRound
+	for k := range shapes {
+		sr := shapes[k]
+		if mirror {
+			sr = shapes[len(shapes)-1-k]
 		}
-		return out
-	}
-	for i := range shapes {
-		out[i] = e.compileRound(shapes[i], false)
+		if k > 0 && slices.Equal(sr, prev) {
+			out[k] = out[k-1]
+		} else {
+			out[k] = e.compileRound(sr, mirror)
+		}
+		prev = sr
 	}
 	return out
 }
@@ -124,9 +133,14 @@ func (e *evaluator) compileRound(sr shapeRound, mirror bool) pricedRound {
 	}
 	assign := e.asg[:len(sr)]
 	nr := e.ev.Assign(buf, assign)
+	// Most groups hold a single size term: carve each group's first
+	// term from one backing array (capped, so a second term appends
+	// into a fresh slice rather than a neighbour's).
 	groups := make([]contGroup, nr)
+	terms := make([]byteTerm, nr)
 	for i := range groups {
 		groups[i].maxHops = e.ev.RoundHops(i)
+		groups[i].terms = terms[i : i : i+1]
 	}
 	for j, sm := range sr {
 		if assign[j] >= 0 {

@@ -93,11 +93,17 @@ func EvalPlans(ctx context.Context, pr *Pricer, plans []PlanShape, spec scenario
 // Pricer): an axis-parallel p=1 macro runs concurrent per-line trees
 // along its grid dimension, a p ≥ 2 one competes per-plane two-phase
 // schedules against the machine-spanning execution, and a total one
-// spans the machine. Decomposed plans simulate each phase's
-// aggregated pattern on the n×n virtual grid under the distribution
-// and execute it with the cheapest permute algorithm. A general plan
-// is simulated message by message; one without a 2×2 data-flow
-// matrix uses the transpose permutation as a deterministic stand-in.
+// spans the machine. Decomposed plans execute each phase's aggregated
+// pattern on the n×n virtual grid under the distribution with the
+// cheapest permute algorithm. A general plan runs its element-wise
+// pattern directly — every element its own message, one
+// contention-scheduled round; one without a 2×2 data-flow matrix uses
+// the transpose permutation as a deterministic stand-in. Both are
+// priced as folds of the Pricer's compiled pattern templates (one-shot
+// templates for the nil Pricer): the contention packing of a pattern
+// reads only message endpoints, so it is compiled once per pattern and
+// re-priced at any element size, and no evaluation builds a message
+// list.
 //
 // The machine spec may pin the selection to one named algorithm (the
 // "mesh8x8:flat" grammar). Each collective selection records a
@@ -182,6 +188,7 @@ func meshShapeTime(ctx context.Context, pr *Pricer, spec scenarios.MachineSpec, 
 		})
 		return ch.Cost, []collective.Choice{ch}
 	case core.Decomposed:
+		key := patternKey{p: m.P, q: m.Q, dist: dist, n: n, force: force}
 		if len(pl.Factors) > 0 && is2x2(pl.Factors[0]) {
 			// Successive phases, right to left as in the matrix
 			// product; each phase's aggregated pattern runs under the
@@ -189,8 +196,8 @@ func meshShapeTime(ctx context.Context, pr *Pricer, spec scenarios.MachineSpec, 
 			total := 0.0
 			var choices []collective.Choice
 			for idx := len(pl.Factors) - 1; idx >= 0; idx-- {
-				msgs := machine.AffineComm2D(m, dist, pl.Factors[idx], nil, n, n, eb)
-				ch := collective.SelectPermute(m, msgs, force)
+				key.t = mat2(pl.Factors[idx])
+				ch := pr.selectPattern(m, key, eb)
 				total += ch.Cost
 				choices = append(choices, ch)
 			}
@@ -199,8 +206,8 @@ func meshShapeTime(ctx context.Context, pr *Pricer, spec scenarios.MachineSpec, 
 		// A pure translation (no factors), or factors outside the 2-D
 		// simulator: unit-shift phases.
 		k := max(len(pl.Factors), 1)
-		shift := machine.AffineComm2D(m, dist, intmat.Identity(2), []int64{1, 1}, n, n, eb)
-		ch := collective.SelectPermute(m, shift, force)
+		key.t, key.off = [4]int64{1, 0, 0, 1}, [2]int64{1, 1}
+		ch := pr.selectPattern(m, key, eb)
 		choices := make([]collective.Choice, k)
 		for i := range choices {
 			choices[i] = ch
@@ -211,8 +218,19 @@ func meshShapeTime(ctx context.Context, pr *Pricer, spec scenarios.MachineSpec, 
 		if !is2x2(t) {
 			t = standInGeneral
 		}
-		return m.Time(machine.GeneralComm2D(m, dist, t, nil, n, n, eb)), nil
+		// The direct execution: every element its own message, packed
+		// in one contention-scheduled round.
+		key := patternKey{p: m.P, q: m.Q, dist: dist, t: mat2(t), n: n, elementwise: true, force: "direct"}
+		return pr.selectPattern(m, key, eb).Cost, nil
 	}
 }
 
 func is2x2(m *intmat.Mat) bool { return m != nil && m.Rows() == 2 && m.Cols() == 2 }
+
+// mat2 flattens a 2×2 data-flow matrix row-major for a patternKey.
+func mat2(t *intmat.Mat) [4]int64 {
+	if !is2x2(t) {
+		panic("compiled: mesh pattern needs a 2x2 data-flow matrix")
+	}
+	return [4]int64{t.At(0, 0), t.At(0, 1), t.At(1, 0), t.At(1, 1)}
+}

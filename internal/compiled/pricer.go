@@ -7,35 +7,46 @@ import (
 	"sync/atomic"
 
 	"repro/internal/collective"
+	"repro/internal/distrib"
+	"repro/internal/intmat"
 	"repro/internal/machine"
 )
 
-// Pricer caches compiled collective.MeshTemplates per selection
-// structure — (mode, mesh geometry, pattern, dims, force) — and
-// serves mesh collective selections by evaluating the cached template
-// at the requested payload. Template compilation is byte-independent,
-// so one template prices every payload (and every link-cost
-// calibration of its geometry); evaluation is allocation-free. It is
-// the only selection cache: the engine prices every scenario through
-// it.
+// Pricer caches compiled collective templates and serves mesh pricing
+// by evaluating them at the requested payload. It holds two kinds:
+//
+//   - collective.MeshTemplates per selection structure — (mode, mesh
+//     geometry, pattern, dims, force) — for macro-communications;
+//   - collective.PermuteTemplates per mesh pattern — the affine map,
+//     distribution, virtual grid, aggregation and force (see
+//     patternKey) — for general plans, decomposed phases and
+//     translations.
+//
+// Template compilation is byte-independent, so one template prices
+// every payload (and every link-cost calibration of its geometry);
+// evaluation is allocation-free. It is the only selection and pattern
+// cache: the engine prices every scenario through it.
 //
 // A Pricer is safe for concurrent use; template compilation is
 // single-flight per key. The nil *Pricer is valid and compiles a
-// one-shot template per selection (exactly the corresponding
+// one-shot template per pricing (exactly the corresponding
 // collective.Select* call), so callers can thread an optional pricer
 // without guarding call sites.
 type Pricer struct {
 	mu   sync.Mutex
-	tmpl map[string]*tmplSlot
+	tmpl map[string]*slot[*collective.MeshTemplate]
+	pat  map[patternKey]*slot[*collective.PermuteTemplate]
 	bld  map[string]*builderSlot
 
-	hits, misses atomic.Uint64
-	evals        atomic.Uint64
+	hits, misses       atomic.Uint64
+	patHits, patMisses atomic.Uint64
+	evals              atomic.Uint64
 }
 
-type tmplSlot struct {
+// slot holds one cached template, compiled at most once.
+type slot[T any] struct {
 	once sync.Once
-	t    *collective.MeshTemplate
+	t    T
 }
 
 // builderSlot serializes template compilation per mesh geometry: all
@@ -51,7 +62,11 @@ type builderSlot struct {
 
 // NewPricer returns an empty template cache.
 func NewPricer() *Pricer {
-	return &Pricer{tmpl: map[string]*tmplSlot{}, bld: map[string]*builderSlot{}}
+	return &Pricer{
+		tmpl: map[string]*slot[*collective.MeshTemplate]{},
+		pat:  map[patternKey]*slot[*collective.PermuteTemplate]{},
+		bld:  map[string]*builderSlot{},
+	}
 }
 
 // builder returns the geometry's shared template builder, creating it
@@ -78,6 +93,13 @@ type PricerStats struct {
 	TemplateHits, TemplateMisses uint64
 	// Evals counts template evaluations (one per priced selection).
 	Evals uint64
+	// Patterns is the number of compiled pattern templates held;
+	// PatternHits/PatternMisses count their lookups, one per priced
+	// general plan, decomposed phase or translation. They are separate
+	// from the selection-template counters above, which they leave
+	// unchanged.
+	Patterns                   int
+	PatternHits, PatternMisses uint64
 }
 
 // Stats snapshots the counters (zero for a nil pricer).
@@ -86,13 +108,16 @@ func (pr *Pricer) Stats() PricerStats {
 		return PricerStats{}
 	}
 	pr.mu.Lock()
-	n := len(pr.tmpl)
+	n, np := len(pr.tmpl), len(pr.pat)
 	pr.mu.Unlock()
 	return PricerStats{
 		Templates:      n,
 		TemplateHits:   pr.hits.Load(),
 		TemplateMisses: pr.misses.Load(),
 		Evals:          pr.evals.Load(),
+		Patterns:       np,
+		PatternHits:    pr.patHits.Load(),
+		PatternMisses:  pr.patMisses.Load(),
 	}
 }
 
@@ -113,23 +138,24 @@ func templateKey(mode string, m *machine.Mesh2D, p collective.Pattern, dims []in
 	return b.String()
 }
 
-// template returns the compiled template for key, compiling it at
-// most once concurrently, and reports whether it was already cached.
-func (pr *Pricer) template(key string, build func() *collective.MeshTemplate) (*collective.MeshTemplate, bool) {
+// lookup returns the template cached under k in tab, compiling it with
+// build at most once concurrently, counts the lookup into hits or
+// misses, and reports whether it was already cached.
+func lookup[K comparable, T any](pr *Pricer, tab map[K]*slot[T], k K, hits, misses *atomic.Uint64, build func() T) (T, bool) {
 	pr.mu.Lock()
-	slot, ok := pr.tmpl[key]
+	s, ok := tab[k]
 	if !ok {
-		slot = &tmplSlot{}
-		pr.tmpl[key] = slot
+		s = &slot[T]{}
+		tab[k] = s
 	}
 	pr.mu.Unlock()
 	if ok {
-		pr.hits.Add(1)
+		hits.Add(1)
 	} else {
-		pr.misses.Add(1)
+		misses.Add(1)
 	}
-	slot.once.Do(func() { slot.t = build() })
-	return slot.t, ok
+	s.once.Do(func() { s.t = build() })
+	return s.t, ok
 }
 
 // eval prices one selection at the payload through the template
@@ -142,7 +168,7 @@ func (pr *Pricer) eval(m *machine.Mesh2D, p collective.Pattern, mode string, dim
 	if pr == nil {
 		return compile(collective.NewTemplateBuilder(m)).Eval(m, bytes), "off"
 	}
-	t, hit := pr.template(templateKey(mode, m, p, dims, force), func() *collective.MeshTemplate {
+	t, hit := lookup(pr, pr.tmpl, templateKey(mode, m, p, dims, force), &pr.hits, &pr.misses, func() *collective.MeshTemplate {
 		bs := pr.builder(m)
 		bs.mu.Lock()
 		defer bs.mu.Unlock()
@@ -223,4 +249,47 @@ func (pr *Pricer) SelectMeshDim(m *machine.Mesh2D, p collective.Pattern, dim int
 func (pr *Pricer) SelectMeshMacro(m *machine.Mesh2D, p collective.Pattern, dims []int, bytes int64, force string) collective.Choice {
 	ch, _ := pr.selectPartial(m, p, dims, bytes, force)
 	return ch
+}
+
+// patternKey identifies one mesh pattern's permute selection: the
+// affine map (i, j) → T·(i, j)ᵗ + off on the n×n virtual grid, folded
+// onto the P×Q mesh by dist, aggregated per physical processor pair
+// (machine.AffineComm2D) or element-wise (machine.GeneralComm2D), and
+// the force. Everything the pattern's contention structure depends on
+// is in the key; the element size and the link-cost calibration are
+// evaluation inputs.
+type patternKey struct {
+	p, q        int
+	dist        distrib.Dist2D
+	t           [4]int64
+	off         [2]int64
+	n           int
+	elementwise bool
+	force       string
+}
+
+// messages builds the keyed pattern at one byte per element, so each
+// message's Bytes is its element multiplicity.
+func (k patternKey) messages(m *machine.Mesh2D) []machine.Message {
+	t := intmat.New(2, 2, k.t[0], k.t[1], k.t[2], k.t[3])
+	build := machine.AffineComm2D
+	if k.elementwise {
+		build = machine.GeneralComm2D
+	}
+	return build(m, k.dist, t, k.off[:], k.n, k.n, 1)
+}
+
+// selectPattern prices the permute selection of the keyed pattern at
+// elemBytes per element through the pattern cache, compiling its
+// PermuteTemplate on a miss. The nil Pricer compiles a one-shot
+// template instead.
+func (pr *Pricer) selectPattern(m *machine.Mesh2D, k patternKey, elemBytes int64) collective.Choice {
+	compile := func() *collective.PermuteTemplate {
+		return collective.NewPermuteTemplate(m, k.messages(m), k.force)
+	}
+	if pr == nil {
+		return compile().Eval(m, elemBytes)
+	}
+	t, _ := lookup(pr, pr.pat, k, &pr.patHits, &pr.patMisses, compile)
+	return t.Eval(m, elemBytes)
 }

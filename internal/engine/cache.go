@@ -254,6 +254,12 @@ type CacheStats struct {
 	CompiledTemplates                            int
 	CompiledTemplateHits, CompiledTemplateMisses uint64
 	CompiledEvals                                uint64
+	// CompiledPatterns is the number of compiled mesh-pattern
+	// templates the session's pricer holds (general plans, decomposed
+	// phases, translations); CompiledPatternHits/Misses count their
+	// lookups. Pattern lookups never move the selection counters.
+	CompiledPatterns                           int
+	CompiledPatternHits, CompiledPatternMisses uint64
 	// Evictions counts entries dropped by the LRU bound.
 	Evictions uint64
 	Entries   int

@@ -243,6 +243,9 @@ func (s *Session) CacheStats() CacheStats {
 	st.CompiledTemplateHits = ps.TemplateHits
 	st.CompiledTemplateMisses = ps.TemplateMisses
 	st.CompiledEvals = ps.Evals
+	st.CompiledPatterns = ps.Patterns
+	st.CompiledPatternHits = ps.PatternHits
+	st.CompiledPatternMisses = ps.PatternMisses
 	return st
 }
 

@@ -91,3 +91,51 @@ func TestBigSweepPerPlaneMacros(t *testing.T) {
 		t.Error("no big-sweep scenario recorded a per-plane or per-line macro choice")
 	}
 }
+
+// TestPatternTierCounters: the pricer's mesh-pattern tier counts its
+// own traffic without moving the selection counters. A fresh session
+// over the big-sweep suite reports the selection-template traffic it
+// always has (one lookup per mesh macro selection), compiles every
+// distinct pattern once, and a second run over the same suite is
+// served entirely from the compiled patterns with identical model
+// times.
+func TestPatternTierCounters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full big-sweep run")
+	}
+	suite := scenarios.Generate(bigSweepConfig)
+	s := NewSession(Options{Workers: 2})
+	defer s.Close()
+	first, err := s.Run(context.Background(), suite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := s.CacheStats()
+	if cold.SelectHits != 133 || cold.SelectMisses != 56 || cold.CompiledTemplates != 56 {
+		t.Errorf("selection tier: %d hits, %d misses, %d templates; want 133, 56, 56",
+			cold.SelectHits, cold.SelectMisses, cold.CompiledTemplates)
+	}
+	if cold.CompiledPatternMisses == 0 || cold.CompiledPatternHits == 0 {
+		t.Errorf("pattern tier saw %d hits, %d misses; want both non-zero",
+			cold.CompiledPatternHits, cold.CompiledPatternMisses)
+	}
+	if uint64(cold.CompiledPatterns) != cold.CompiledPatternMisses {
+		t.Errorf("%d patterns held after %d misses", cold.CompiledPatterns, cold.CompiledPatternMisses)
+	}
+	second, err := s.Run(context.Background(), suite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := s.CacheStats()
+	if warm.CompiledPatternMisses != cold.CompiledPatternMisses {
+		t.Errorf("second run compiled %d patterns, want 0", warm.CompiledPatternMisses-cold.CompiledPatternMisses)
+	}
+	if warm.CompiledPatternHits == cold.CompiledPatternHits {
+		t.Error("second run recorded no pattern hits")
+	}
+	for i := range first.Results {
+		if a, b := first.Results[i].ModelTime, second.Results[i].ModelTime; a != b {
+			t.Errorf("scenario %d (%s): model time %v, then %v", i, suite[i].Name, a, b)
+		}
+	}
+}

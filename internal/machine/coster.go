@@ -61,14 +61,15 @@ func NewCostEval(m *Mesh2D) *CostEval {
 		panic(fmt.Sprintf("machine: cost evaluator needs a non-empty mesh, got %dx%d", m.P, m.Q))
 	}
 	e := &CostEval{}
-	e.bind(m)
+	e.Bind(m)
 	return e
 }
 
-// bind points the evaluator at mesh m. Round bitmaps are kept when
-// the link count matches (the next Assign clears them through their
-// dirty lists) and dropped otherwise.
-func (e *CostEval) bind(m *Mesh2D) {
+// Bind points the evaluator at mesh m, so one pooled evaluator can
+// serve many meshes. Round bitmaps are kept when the link count
+// matches (the next Assign clears them through their dirty lists) and
+// dropped otherwise.
+func (e *CostEval) Bind(m *Mesh2D) {
 	e.m = m
 	if n := m.P * m.Q * 4; n != e.nlinks {
 		e.nlinks = n

@@ -136,7 +136,7 @@ func TestCostEvalRebind(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for _, sh := range shapes {
 			m := DefaultMesh(sh[0], sh[1])
-			ev.bind(m)
+			ev.Bind(m)
 			for trial := 0; trial < 5; trial++ {
 				msgs := randPattern(rng, m, 50+rng.Intn(250))
 				if sh == [2]int{1, 8} {

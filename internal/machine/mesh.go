@@ -90,7 +90,7 @@ type linkID struct {
 // nothing and concurrent calls are safe.
 func (m *Mesh2D) Time(msgs []Message) float64 {
 	e := evalPool.Get().(*CostEval)
-	e.bind(m)
+	e.Bind(m)
 	t := e.Time(msgs)
 	e.m = nil // the pool must not keep the caller's mesh alive
 	evalPool.Put(e)

@@ -59,6 +59,9 @@ func (s *Server) statsResponse() api.StatsResponse {
 			CompiledTemplateHits:   c.CompiledTemplateHits,
 			CompiledTemplateMisses: c.CompiledTemplateMisses,
 			CompiledEvals:          c.CompiledEvals,
+			CompiledPatterns:       c.CompiledPatterns,
+			CompiledPatternHits:    c.CompiledPatternHits,
+			CompiledPatternMisses:  c.CompiledPatternMisses,
 
 			Evictions: c.Evictions,
 			Entries:   c.Entries,
@@ -205,6 +208,9 @@ func rollupStats(members []api.ClusterMemberStats) api.ClusterRollup {
 		ru.Cache.CompiledTemplateHits += st.Cache.CompiledTemplateHits
 		ru.Cache.CompiledTemplateMisses += st.Cache.CompiledTemplateMisses
 		ru.Cache.CompiledEvals += st.Cache.CompiledEvals
+		ru.Cache.CompiledPatterns += st.Cache.CompiledPatterns
+		ru.Cache.CompiledPatternHits += st.Cache.CompiledPatternHits
+		ru.Cache.CompiledPatternMisses += st.Cache.CompiledPatternMisses
 		ru.Cache.Evictions += st.Cache.Evictions
 		ru.Cache.Entries += st.Cache.Entries
 

@@ -277,6 +277,11 @@ func TestClusterStats(t *testing.T) {
 	if ru.Workers != cs.Members[0].Stats.Workers+cs.Members[1].Stats.Workers {
 		t.Errorf("rollup workers %d not the member sum", ru.Workers)
 	}
+	if m0, m1 := cs.Members[0].Stats.Cache, cs.Members[1].Stats.Cache; ru.Cache.CompiledPatterns != m0.CompiledPatterns+m1.CompiledPatterns ||
+		ru.Cache.CompiledPatternHits != m0.CompiledPatternHits+m1.CompiledPatternHits ||
+		ru.Cache.CompiledPatternMisses != m0.CompiledPatternMisses+m1.CompiledPatternMisses {
+		t.Errorf("rollup pattern tier %+v not the member sum", ru.Cache)
+	}
 	if ru.Phases.Scenarios == 0 || ru.Phases.TotalUs <= 0 {
 		t.Errorf("rollup phases %+v", ru.Phases)
 	}

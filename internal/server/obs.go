@@ -112,7 +112,9 @@ func newObservability(s *Server) *observability {
 	// Engine memo-cache tiers, mirrored from CacheStats: plan = whole
 	// heuristic results, kernel = exact linear algebra, select = mesh
 	// collective selections served by the pricer's template cache,
-	// *_disk = the store tier behind each.
+	// compiled_pattern = mesh patterns (general plans, decomposed
+	// phases) served by its pattern cache, *_disk = the store tier
+	// behind each.
 	hits := reg.NewCounterVec("resopt_engine_cache_hits_total",
 		"Memo-cache hits by tier.", "tier")
 	misses := reg.NewCounterVec("resopt_engine_cache_misses_total",
@@ -134,12 +136,17 @@ func newObservability(s *Server) *observability {
 	misses.WithFunc(func() uint64 { return cache().CompiledDiskMisses }, "compiled_disk")
 	hits.WithFunc(func() uint64 { return cache().CompiledTemplateHits }, "compiled_template")
 	misses.WithFunc(func() uint64 { return cache().CompiledTemplateMisses }, "compiled_template")
+	hits.WithFunc(func() uint64 { return cache().CompiledPatternHits }, "compiled_pattern")
+	misses.WithFunc(func() uint64 { return cache().CompiledPatternMisses }, "compiled_pattern")
 	reg.NewCounterFunc("resopt_engine_compiled_evals_total",
 		"Selection-template evaluations by the compiled-plan tier (one per priced lattice point selection).",
 		func() uint64 { return cache().CompiledEvals })
 	reg.NewGaugeFunc("resopt_engine_compiled_templates",
 		"Compiled selection templates held by the session pricer.",
 		func() float64 { return float64(cache().CompiledTemplates) })
+	reg.NewGaugeFunc("resopt_engine_compiled_patterns",
+		"Compiled mesh-pattern templates held by the session pricer.",
+		func() float64 { return float64(cache().CompiledPatterns) })
 	reg.NewCounterFunc("resopt_engine_cache_evictions_total", "Entries dropped by the LRU bound.",
 		func() uint64 { return cache().Evictions })
 	reg.NewGaugeFunc("resopt_engine_cache_entries", "Entries resident in the memo cache.",

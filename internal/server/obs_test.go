@@ -73,6 +73,9 @@ func TestOpsEndpoints(t *testing.T) {
 		`resopt_engine_workers 2`,
 		`resopt_engine_cache_hits_total{tier="plan"}`,
 		`resopt_engine_cache_misses_total{tier="kernel"}`,
+		`resopt_engine_cache_hits_total{tier="compiled_pattern"}`,
+		`resopt_engine_cache_misses_total{tier="compiled_pattern"}`,
+		`resopt_engine_compiled_patterns `,
 		`resopt_store_objects{tier="plans"}`,
 		`resopt_store_gc_sweeps_total`,
 		`resoptd_jobs{state="queued"} 0`,

@@ -301,6 +301,11 @@ func TestStats(t *testing.T) {
 
 	postJSON(t, ts.Client(), ts.URL+"/v1/optimize", api.OptimizeRequest{Example: "matmul"})
 	postJSON(t, ts.Client(), ts.URL+"/v1/optimize", api.OptimizeRequest{Example: "matmul"})
+	// A decomposed plan on a mesh: its phase patterns compile once,
+	// then the repeat is served from the pricer's pattern cache.
+	for i := 0; i < 2; i++ {
+		postJSON(t, ts.Client(), ts.URL+"/v1/optimize", api.OptimizeRequest{Example: "skewedcopy", Machine: "mesh8x8"})
+	}
 	// Two identical batch specs: the second must hit the suite cache.
 	for i := 0; i < 2; i++ {
 		resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/batch", api.BatchSpec{Random: 1, NoExamples: true})
@@ -319,8 +324,8 @@ func TestStats(t *testing.T) {
 	if got.Version != api.Version {
 		t.Errorf("api_version = %q", got.Version)
 	}
-	if got.Requests.Optimize != 2 {
-		t.Errorf("optimize requests = %d, want 2", got.Requests.Optimize)
+	if got.Requests.Optimize != 4 {
+		t.Errorf("optimize requests = %d, want 4", got.Requests.Optimize)
 	}
 	if got.Requests.Batch != 2 {
 		t.Errorf("batch requests = %d, want 2", got.Requests.Batch)
@@ -330,6 +335,10 @@ func TestStats(t *testing.T) {
 	}
 	if got.Cache.PlanHits == 0 {
 		t.Error("second identical request missed the shared plan cache")
+	}
+	if c := got.Cache; c.CompiledPatterns == 0 || c.CompiledPatternMisses == 0 || c.CompiledPatternHits == 0 {
+		t.Errorf("pattern tier = %d held, %d hits, %d misses; want all non-zero",
+			c.CompiledPatterns, c.CompiledPatternHits, c.CompiledPatternMisses)
 	}
 	if got.SuiteCache.Hits == 0 || got.SuiteCache.Misses == 0 {
 		t.Errorf("suite cache = %+v, want ≥1 hit and ≥1 miss", got.SuiteCache)
