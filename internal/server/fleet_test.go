@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -335,6 +336,102 @@ func TestClusterStatsStandalone(t *testing.T) {
 	}
 	if cs.Members[0].Stats == nil || cs.Rollup.Nodes != 1 || cs.Rollup.Unreachable != 0 {
 		t.Errorf("standalone rollup: %+v", cs.Rollup)
+	}
+}
+
+// fillDistinct sets every numeric field reachable from v (allocating
+// nil struct pointers on the way) to the next value of *next, so no
+// two fields of one or several filled values are equal.
+func fillDistinct(v reflect.Value, next *int) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			v.Set(reflect.New(v.Type().Elem()))
+		}
+		fillDistinct(v.Elem(), next)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillDistinct(v.Field(i), next)
+		}
+	case reflect.Int, reflect.Int64:
+		*next++
+		v.SetInt(int64(*next))
+	case reflect.Uint64:
+		*next++
+		v.SetUint(uint64(*next))
+	case reflect.Float64:
+		*next++
+		v.SetFloat(float64(*next))
+	}
+}
+
+// jsonObject round-trips v through its wire encoding.
+func jsonObject(t *testing.T, v any) map[string]any {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestRollupSumsEveryField: with every numeric field of two member
+// snapshots set to a distinct non-zero value, the rollup is their
+// field-wise sum on the wire — every counter of every section, the
+// workers and the node forward counters — except the sweeper
+// interval, copied from the first member, and the two hit rates,
+// recomputed from the summed counters. The rollup carries no key this
+// test does not account for.
+func TestRollupSumsEveryField(t *testing.T) {
+	var sa, sb api.StatsResponse
+	next := 0
+	fillDistinct(reflect.ValueOf(&sa).Elem(), &next)
+	fillDistinct(reflect.ValueOf(&sb).Elem(), &next)
+	ru := rollupStats([]api.ClusterMemberStats{
+		{ID: "a", Status: api.MemberOK, Stats: &sa},
+		{ID: "b", Status: api.MemberOK, Stats: &sb},
+		{ID: "c", Status: api.MemberUnreachable},
+	})
+	a, b, got := jsonObject(t, sa), jsonObject(t, sb), jsonObject(t, ru)
+
+	want := map[string]any{
+		"nodes":       3.0,
+		"unreachable": 1.0,
+		"workers":     a["workers"].(float64) + b["workers"].(float64),
+	}
+	for _, section := range []string{"requests", "cache", "suite_cache", "jobs", "phases", "store", "sweeper"} {
+		as, bs := a[section].(map[string]any), b[section].(map[string]any)
+		sum := map[string]any{}
+		for k, av := range as {
+			sum[k] = av.(float64) + bs[k].(float64)
+		}
+		want[section] = sum
+	}
+	want["sweeper"].(map[string]any)["interval_seconds"] = a["sweeper"].(map[string]any)["interval_seconds"]
+	an, bn := a["node"].(map[string]any), b["node"].(map[string]any)
+	for _, k := range []string{"forwards_out", "forwards_in", "forward_fallbacks", "peer_plan_hits", "plans_replicated"} {
+		want[k] = an[k].(float64) + bn[k].(float64)
+	}
+	c := want["cache"].(map[string]any)
+	f := func(k string) float64 { return c[k].(float64) }
+	want["plan_hit_rate"] = (f("plan_hits") + f("disk_hits")) / (f("plan_hits") + f("plan_misses"))
+	want["kernel_hit_rate"] = (f("kernel_hits") + f("kernel_disk_hits")) / (f("kernel_hits") + f("kernel_misses"))
+
+	if !reflect.DeepEqual(got, want) {
+		for k, w := range want {
+			if !reflect.DeepEqual(got[k], w) {
+				t.Errorf("rollup %q = %v, want %v", k, got[k], w)
+			}
+		}
+		for k, g := range got {
+			if _, ok := want[k]; !ok {
+				t.Errorf("rollup carries unaccounted key %q = %v", k, g)
+			}
+		}
 	}
 }
 
