@@ -6,6 +6,12 @@
 // keeps the contract importable from anywhere (clients, the store's
 // snapshot format, CI drivers) without dragging the engine along.
 //
+// The stats types (CacheStats, StoreStats, PhaseTotals) are the one
+// stats schema of the system: the engine and the store fill them
+// directly, the server serves them as they are, the fleet rollup sums
+// them field by field, and /metrics reads their tier tables. Adding a
+// counter means adding its field here and its fill at the source.
+//
 // Versioning: Version names the current wire version; servers stamp
 // every response with the VersionHeader header and serve the route
 // set under the /v1 prefix.
@@ -349,54 +355,122 @@ type SnapshotList struct {
 	Snapshots []SnapshotInfo `json:"snapshots"`
 }
 
-// CacheStats mirrors the engine's in-memory cache counters.
-// SelectHits/SelectMisses count mesh collective selections served by
-// the compiled pricer's template cache: a hit evaluated an already
-// compiled template, a miss compiled one. Closed-form fat-tree
-// selections have no cache and count as neither.
+// CacheStats is the engine's memo-cache snapshot: the engine fills it
+// (engine.Session.CacheStats), the CLI batch report and /metrics read
+// it, and GET /v1/stats serves it as is. On a long-lived session every
+// counter covers the session's lifetime.
 type CacheStats struct {
-	KernelHits       uint64 `json:"kernel_hits"`
-	KernelMisses     uint64 `json:"kernel_misses"`
+	// KernelHits counts kernel-tier memory hits; KernelMisses counts
+	// full misses that recomputed.
+	KernelHits   uint64 `json:"kernel_hits"`
+	KernelMisses uint64 `json:"kernel_misses"`
+	// KernelDiskHits/KernelDiskMisses count kernel-tier memory misses
+	// served from / not found in the kernel disk store (zero without
+	// one); a disk hit avoids recomputation and is counted here, not
+	// in KernelHits or KernelMisses.
 	KernelDiskHits   uint64 `json:"kernel_disk_hits"`
 	KernelDiskMisses uint64 `json:"kernel_disk_misses"`
 	PlanHits         uint64 `json:"plan_hits"`
 	PlanMisses       uint64 `json:"plan_misses"`
-	DiskHits         uint64 `json:"disk_hits"`
-	DiskMisses       uint64 `json:"disk_misses"`
-	SelectHits       uint64 `json:"select_hits"`
-	SelectMisses     uint64 `json:"select_misses"`
-	// Compiled* mirror the compiled-plan tier: artifact lookups in the
-	// memory cache and the disk tier behind it, plus the pricer's
-	// selection-template cache and evaluation counter, and its
-	// mesh-pattern template cache (CompiledPattern*: general plans,
-	// decomposed phases, translations).
-	CompiledHits           uint64 `json:"compiled_hits"`
-	CompiledMisses         uint64 `json:"compiled_misses"`
-	CompiledDiskHits       uint64 `json:"compiled_disk_hits"`
-	CompiledDiskMisses     uint64 `json:"compiled_disk_misses"`
+	// DiskHits/DiskMisses count plan-tier memory misses that were
+	// served from / not found in the disk store (zero without one).
+	DiskHits   uint64 `json:"disk_hits"`
+	DiskMisses uint64 `json:"disk_misses"`
+	// SelectHits/SelectMisses count the mesh collective selections
+	// served by the compiled pricer's template cache: a hit evaluated
+	// an already compiled template, a miss compiled one. They equal
+	// the CompiledTemplate hit/miss pair, and stay on the wire for the
+	// clients that read them. Closed-form fat-tree selections have no
+	// cache and count as neither.
+	SelectHits   uint64 `json:"select_hits"`
+	SelectMisses uint64 `json:"select_misses"`
+	// CompiledHits/CompiledMisses count compiled-artifact memory-tier
+	// lookups; CompiledDiskHits/CompiledDiskMisses count the memory
+	// misses served from / not found in the store's compiled tier.
+	CompiledHits       uint64 `json:"compiled_hits"`
+	CompiledMisses     uint64 `json:"compiled_misses"`
+	CompiledDiskHits   uint64 `json:"compiled_disk_hits"`
+	CompiledDiskMisses uint64 `json:"compiled_disk_misses"`
+	// CompiledTemplates is the number of compiled selection templates
+	// the session's pricer holds, with the hit/miss counts of their
+	// cache; CompiledEvals counts the template evaluations (each one a
+	// collective selection priced without schedule construction).
 	CompiledTemplates      int    `json:"compiled_templates"`
 	CompiledTemplateHits   uint64 `json:"compiled_template_hits"`
 	CompiledTemplateMisses uint64 `json:"compiled_template_misses"`
 	CompiledEvals          uint64 `json:"compiled_evals"`
-	CompiledPatterns       int    `json:"compiled_patterns"`
-	CompiledPatternHits    uint64 `json:"compiled_pattern_hits"`
-	CompiledPatternMisses  uint64 `json:"compiled_pattern_misses"`
-	Evictions              uint64 `json:"evictions"`
-	Entries                int    `json:"entries"`
+	// CompiledPatterns is the number of compiled mesh-pattern templates
+	// the pricer holds (general plans, decomposed phases,
+	// translations), with the hit/miss counts of their lookups.
+	// Pattern lookups never move the selection counters.
+	CompiledPatterns      int    `json:"compiled_patterns"`
+	CompiledPatternHits   uint64 `json:"compiled_pattern_hits"`
+	CompiledPatternMisses uint64 `json:"compiled_pattern_misses"`
+	// Evictions counts entries dropped by the LRU bound; Entries is
+	// the number resident.
+	Evictions uint64 `json:"evictions"`
+	Entries   int    `json:"entries"`
 }
 
-// StoreStats mirrors the plan/kernel store's traffic counters.
+// CacheTier is one memo-cache tier's lookup counters.
+type CacheTier struct {
+	Name         string
+	Hits, Misses uint64
+}
+
+// Tiers lists the per-tier lookup counters under their /metrics tier
+// labels: plan = whole heuristic results, kernel = exact linear
+// algebra, select = mesh collective selections served by the pricer's
+// template cache, compiled = compiled artifacts, compiled_template and
+// compiled_pattern = the pricer's selection and mesh-pattern template
+// caches, and *_disk = the store tier behind each.
+func (c CacheStats) Tiers() []CacheTier {
+	return []CacheTier{
+		{"plan", c.PlanHits, c.PlanMisses},
+		{"kernel", c.KernelHits, c.KernelMisses},
+		{"select", c.SelectHits, c.SelectMisses},
+		{"plan_disk", c.DiskHits, c.DiskMisses},
+		{"kernel_disk", c.KernelDiskHits, c.KernelDiskMisses},
+		{"compiled", c.CompiledHits, c.CompiledMisses},
+		{"compiled_disk", c.CompiledDiskHits, c.CompiledDiskMisses},
+		{"compiled_template", c.CompiledTemplateHits, c.CompiledTemplateMisses},
+		{"compiled_pattern", c.CompiledPatternHits, c.CompiledPatternMisses},
+	}
+}
+
+// StoreStats is the plan/kernel/compiled store's traffic snapshot,
+// filled by store.Store.Stats.
 type StoreStats struct {
-	PlanPuts          uint64 `json:"plan_puts"`
-	PlanGetHits       uint64 `json:"plan_get_hits"`
-	PlanGetMisses     uint64 `json:"plan_get_misses"`
-	KernelPuts        uint64 `json:"kernel_puts"`
-	KernelGetHits     uint64 `json:"kernel_get_hits"`
-	KernelGetMisses   uint64 `json:"kernel_get_misses"`
+	PlanPuts        uint64 `json:"plan_puts"`
+	PlanGetHits     uint64 `json:"plan_get_hits"`
+	PlanGetMisses   uint64 `json:"plan_get_misses"`
+	KernelPuts      uint64 `json:"kernel_puts"`
+	KernelGetHits   uint64 `json:"kernel_get_hits"`
+	KernelGetMisses uint64 `json:"kernel_get_misses"`
+	// Compiled* count compiled-artifact tier traffic.
 	CompiledPuts      uint64 `json:"compiled_puts"`
 	CompiledGetHits   uint64 `json:"compiled_get_hits"`
 	CompiledGetMisses uint64 `json:"compiled_get_misses"`
-	Warnings          uint64 `json:"warnings"`
+	// Warnings counts non-fatal problems: corrupt files skipped,
+	// failed writes.
+	Warnings uint64 `json:"warnings"`
+}
+
+// StoreTier is one store tier's traffic counters: objects written,
+// and disk lookups served and missed.
+type StoreTier struct {
+	Name               string
+	Puts, Hits, Misses uint64
+}
+
+// Tiers lists the per-tier traffic counters under their store
+// directory names, the /metrics tier labels.
+func (s StoreStats) Tiers() []StoreTier {
+	return []StoreTier{
+		{"plans", s.PlanPuts, s.PlanGetHits, s.PlanGetMisses},
+		{"kernels", s.KernelPuts, s.KernelGetHits, s.KernelGetMisses},
+		{"compiled", s.CompiledPuts, s.CompiledGetHits, s.CompiledGetMisses},
+	}
 }
 
 // SuiteCacheStats counts batch-spec resolutions served from the
@@ -438,11 +512,11 @@ type SweeperStats struct {
 }
 
 // PhaseTotals is the session-wide accumulation of PhaseBreakdown
-// across every scenario the daemon has optimized: where the engine's
-// time actually goes. Align/kernel/compute time counts only scenarios
-// whose plans were computed this session (cache and store hits
-// contribute their select/store/total figures but not the historical
-// compute cost).
+// across every scenario the session has optimized: where the engine's
+// time actually goes. The engine fills it (engine.Session.PhaseTotals).
+// Align/kernel/compute time counts only scenarios whose plans were
+// computed this session (cache and store hits contribute their
+// select/store/total figures but not the historical compute cost).
 type PhaseTotals struct {
 	Scenarios uint64  `json:"scenarios"`
 	ComputeUs float64 `json:"compute_us"`

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/api"
 	"repro/internal/intmat"
 )
 
@@ -221,56 +222,13 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// CacheStats is a snapshot of cache effectiveness after a run.
-type CacheStats struct {
-	// KernelHits counts kernel-tier memory hits; KernelMisses counts
-	// full misses that recomputed.
-	KernelHits, KernelMisses uint64
-	// KernelDiskHits/KernelDiskMisses count kernel-tier memory misses
-	// served from / not found in the kernel disk store (zero without
-	// one); a disk hit avoids recomputation and is counted here, not
-	// in KernelHits or KernelMisses.
-	KernelDiskHits, KernelDiskMisses uint64
-	PlanHits, PlanMisses             uint64
-	// DiskHits/DiskMisses count plan-tier memory misses that were
-	// served from / not found in the disk store (zero without one).
-	DiskHits, DiskMisses uint64
-	// SelectHits/SelectMisses count the mesh collective selections
-	// served by the pricer's template cache: a hit evaluated an already
-	// compiled template, a miss compiled one. They equal
-	// CompiledTemplateHits/CompiledTemplateMisses. Closed-form fat-tree
-	// selections have no cache and count as neither.
-	SelectHits, SelectMisses uint64
-	// CompiledHits/CompiledMisses count compiled-artifact memory-tier
-	// lookups (see Session.CompiledArtifact); CompiledDiskHits and
-	// CompiledDiskMisses count the memory misses served from / not
-	// found in the store's compiled tier.
-	CompiledHits, CompiledMisses         uint64
-	CompiledDiskHits, CompiledDiskMisses uint64
-	// CompiledTemplates is the number of compiled selection templates
-	// the session's pricer holds; CompiledTemplateHits/Misses count its
-	// cache lookups and CompiledEvals the template evaluations (each
-	// one a collective selection priced without schedule construction).
-	CompiledTemplates                            int
-	CompiledTemplateHits, CompiledTemplateMisses uint64
-	CompiledEvals                                uint64
-	// CompiledPatterns is the number of compiled mesh-pattern
-	// templates the session's pricer holds (general plans, decomposed
-	// phases, translations); CompiledPatternHits/Misses count their
-	// lookups. Pattern lookups never move the selection counters.
-	CompiledPatterns                           int
-	CompiledPatternHits, CompiledPatternMisses uint64
-	// Evictions counts entries dropped by the LRU bound.
-	Evictions uint64
-	Entries   int
-}
-
-// Stats snapshots the counters.
-func (c *Cache) Stats() CacheStats {
+// Stats snapshots the memory and disk tier counters; the pricer's
+// are added by Session.CacheStats.
+func (c *Cache) Stats() api.CacheStats {
 	if c == nil {
-		return CacheStats{}
+		return api.CacheStats{}
 	}
-	return CacheStats{
+	return api.CacheStats{
 		KernelHits:         c.kernelHits.Load(),
 		KernelMisses:       c.kernelMisses.Load(),
 		KernelDiskHits:     c.kernelDiskHits.Load(),

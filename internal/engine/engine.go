@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/compiled"
 	"repro/internal/core"
 	"repro/internal/scenarios"
@@ -119,7 +120,7 @@ type BatchResult struct {
 	// Cache is the cache-effectiveness snapshot (zero when disabled).
 	// For a long-lived Session it covers the session's lifetime up to
 	// this batch, not just this batch.
-	Cache CacheStats
+	Cache api.CacheStats
 }
 
 // Session is a long-lived optimization context: a persistent worker
@@ -235,7 +236,7 @@ func (s *Session) Workers() int { return s.workers }
 // CacheStats snapshots the session's cache counters (zero when the
 // cache is disabled), including the pricer's template-cache and
 // evaluation counters, which also back SelectHits/SelectMisses.
-func (s *Session) CacheStats() CacheStats {
+func (s *Session) CacheStats() api.CacheStats {
 	st := s.cache.Stats()
 	ps := s.pricer.Stats()
 	st.SelectHits, st.SelectMisses = ps.TemplateHits, ps.TemplateMisses
@@ -552,7 +553,7 @@ func (b *BatchResult) Report() string {
 		}
 		s.WriteByte('\n')
 	}
-	if b.Cache != (CacheStats{}) {
+	if b.Cache != (api.CacheStats{}) {
 		c := b.Cache
 		fmt.Fprintf(&s, "cache: plan %d/%d hits, kernel %d/%d hits, select %d/%d hits, %d entries",
 			c.PlanHits, c.PlanHits+c.PlanMisses,

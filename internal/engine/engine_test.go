@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/scenarios"
 )
@@ -69,7 +70,7 @@ func TestCacheConsistency(t *testing.T) {
 		}
 		t.Fatal("results differ")
 	}
-	if uncached.Cache != (CacheStats{}) {
+	if uncached.Cache != (api.CacheStats{}) {
 		t.Fatalf("disabled cache reported stats %+v", uncached.Cache)
 	}
 }

@@ -1,6 +1,10 @@
 package engine
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/api"
+)
 
 // PhaseTimes is the per-scenario wall-clock cost attribution: where
 // one scenario's engine time went, phase by phase. It rides on
@@ -57,22 +61,6 @@ func (p *PhaseTimes) SelectMemo() string {
 
 func usSince(t0 time.Time) float64 { return float64(time.Since(t0)) / 1e3 }
 
-// PhaseTotals aggregates the session's per-phase wall-clock spend
-// over every scenario it has run — the /v1/stats and metrics view of
-// PhaseTimes. Align/Kernel/Compute count only scenarios whose plans
-// were computed this session (PlanSource "compute"), never the
-// recorded historical cost a cache or disk hit reports.
-type PhaseTotals struct {
-	Scenarios uint64
-	ComputeUs float64
-	AlignUs   float64
-	KernelUs  float64
-	SelectUs  float64
-	StoreUs   float64
-	CostUs    float64
-	TotalUs   float64
-}
-
 // addPhases folds one scenario's breakdown into the session totals.
 // Accumulation is in integer nanoseconds (atomic adds); toNs rounds
 // rather than truncates, since the µs values are ns counts divided by
@@ -92,9 +80,13 @@ func (s *Session) addPhases(p *PhaseTimes) {
 	s.phaseTotalNs.Add(toNs(p.TotalUs))
 }
 
-// PhaseTotals snapshots the session's cumulative phase attribution.
-func (s *Session) PhaseTotals() PhaseTotals {
-	return PhaseTotals{
+// PhaseTotals snapshots the session's cumulative per-phase wall-clock
+// spend over every scenario it has run — the /v1/stats and metrics
+// view of PhaseTimes. Align/Kernel/Compute count only scenarios whose
+// plans were computed this session (PlanSource "compute"), never the
+// recorded historical cost a cache or disk hit reports.
+func (s *Session) PhaseTotals() api.PhaseTotals {
+	return api.PhaseTotals{
 		Scenarios: s.phaseScenarios.Load(),
 		ComputeUs: float64(s.phaseComputeNs.Load()) / 1e3,
 		AlignUs:   float64(s.phaseAlignNs.Load()) / 1e3,

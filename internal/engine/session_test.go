@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/scenarios"
 )
 
@@ -36,7 +37,7 @@ func TestConcurrentSessions(t *testing.T) {
 	if bc.Cache.KernelHits+bc.Cache.KernelMisses == 0 {
 		t.Error("cached session's kernel tier saw no traffic")
 	}
-	if ba.Cache != (CacheStats{}) {
+	if ba.Cache != (api.CacheStats{}) {
 		t.Errorf("cache-disabled session accumulated stats %+v — kernel memo leaked across sessions", ba.Cache)
 	}
 }

@@ -144,14 +144,6 @@ func HermiteLeft(m *Mat) (Q, H *Mat) {
 	return fromBig(red.Q), fromBig(red.H)
 }
 
-// HermiteRight returns the column Hermite normal form H and a
-// unimodular Q such that m = H·Q. When m has full row rank, H is a
-// column echelon (lower triangular) matrix padded with zero columns.
-func HermiteRight(m *Mat) (H, Q *Mat) {
-	qt, ht := HermiteLeft(m.Transpose())
-	return ht.Transpose(), qt.Transpose()
-}
-
 // InverseUnimodular returns the exact integer inverse of a unimodular
 // matrix, panicking if m is not unimodular.
 func InverseUnimodular(m *Mat) *Mat {
@@ -188,16 +180,6 @@ func LeftInverseInt(f *Mat) (*Mat, bool) {
 	}
 	U := fromBig(red.U)
 	return U.SubRows(seq(d)...), true
-}
-
-// RightInverseInt returns an integer G with F·G = Id for a flat
-// full-row-rank F, when one exists over the integers.
-func RightInverseInt(f *Mat) (*Mat, bool) {
-	g, ok := LeftInverseInt(f.Transpose())
-	if !ok {
-		return nil, false
-	}
-	return g.Transpose(), true
 }
 
 func seq(n int) []int {

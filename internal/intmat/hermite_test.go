@@ -38,21 +38,6 @@ func TestHermiteLeftFullColumnRankShape(t *testing.T) {
 	}
 }
 
-func TestHermiteRight(t *testing.T) {
-	m := New(2, 3, 2, 4, 4, 6, 6, 12)
-	h, q := HermiteRight(m)
-	if !q.IsUnimodular() {
-		t.Fatalf("Q not unimodular: %v", q)
-	}
-	if !Mul(h, q).Equal(m) {
-		t.Fatalf("H·Q = %v != %v", Mul(h, q), m)
-	}
-	// column echelon: above-diagonal (j > i) entries of H are zero
-	if h.At(0, 1) != 0 || h.At(0, 2) != 0 || h.At(1, 2) != 0 {
-		t.Fatalf("H not lower echelon: %v", h)
-	}
-}
-
 func TestHermiteProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	f := func(seed int64) bool {
@@ -133,17 +118,6 @@ func TestLeftInverseIntNotExists(t *testing.T) {
 	f2 := New(3, 2, 1, 1, 2, 2, 3, 3)
 	if _, ok := LeftInverseInt(f2); ok {
 		t.Fatal("claimed left inverse of rank-deficient matrix")
-	}
-}
-
-func TestRightInverseInt(t *testing.T) {
-	f := New(2, 3, 1, 0, 1, 0, 1, 0)
-	g, ok := RightInverseInt(f)
-	if !ok {
-		t.Fatalf("no integer right inverse for %v", f)
-	}
-	if !Mul(f, g).IsIdentity() {
-		t.Fatalf("F·G = %v", Mul(f, g))
 	}
 }
 

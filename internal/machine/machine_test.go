@@ -171,11 +171,6 @@ func TestGeneralVsDecomposedTable2Shape(t *testing.T) {
 	if direct/(tl+tu) < 5 {
 		t.Fatalf("win factor %v too small", direct/(tl+tu))
 	}
-	// DecomposedTime sums the phases right-to-left
-	dt := DecomposedTime(m, cyc, []*intmat.Mat{L, U}, 64, 64, 64)
-	if dt != tl+tu {
-		t.Fatalf("DecomposedTime = %v, want %v", dt, tl+tu)
-	}
 }
 
 func TestFigure8Shape(t *testing.T) {

@@ -85,20 +85,6 @@ func ElementaryColComm(m *Mesh2D, dist distrib.Dist2D, l int64, n0, n1 int, elem
 	return AffineComm2D(m, dist, lm, nil, n0, n1, elemBytes)
 }
 
-// DecomposedTime executes a factorized communication as successive
-// phases (the paper: "communication L and U are performed one after
-// the other, not in parallel") and returns the summed phase times.
-// Factors are applied right to left, as in the matrix product; the
-// intermediate virtual positions follow the partial products.
-func DecomposedTime(m *Mesh2D, dist distrib.Dist2D, factors []*intmat.Mat, n0, n1 int, elemBytes int64) float64 {
-	total := 0.0
-	for idx := len(factors) - 1; idx >= 0; idx-- {
-		msgs := AffineComm2D(m, dist, factors[idx], nil, n0, n1, elemBytes)
-		total += m.Time(msgs)
-	}
-	return total
-}
-
 func mod(a, n int64) int64 {
 	r := a % n
 	if r < 0 {

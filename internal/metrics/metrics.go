@@ -17,7 +17,7 @@
 //   - func-backed counters and gauges (WithFunc / NewCounterFunc /
 //     NewGaugeFunc), which read an existing atomic counter at scrape
 //     time instead of double-counting alongside it — this is how the
-//     engine's CacheStats and the store's traffic counters are
+//     engine's cache counters and the store's traffic counters are
 //     exported without touching their hot paths;
 //   - OnCollect hooks, run at the start of every scrape, for gauges
 //     whose value is a snapshot of external state (job lifecycle

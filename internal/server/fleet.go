@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"reflect"
 	"sort"
 	"sync"
 	"time"
@@ -33,77 +34,30 @@ import (
 const fleetFetchTimeout = 2 * time.Second
 
 // statsResponse assembles this node's GET /v1/stats body — shared by
-// handleStats and the per-member snapshots of /v1/cluster/stats.
+// handleStats and the per-member snapshots of /v1/cluster/stats. The
+// engine and store snapshots are already wire types.
 func (s *Server) statsResponse() api.StatsResponse {
-	c := s.session.CacheStats()
 	resp := api.StatsResponse{
-		Version: api.Version,
-		Workers: s.session.Workers(),
-		Cache: api.CacheStats{
-			KernelHits:       c.KernelHits,
-			KernelMisses:     c.KernelMisses,
-			KernelDiskHits:   c.KernelDiskHits,
-			KernelDiskMisses: c.KernelDiskMisses,
-			PlanHits:         c.PlanHits,
-			PlanMisses:       c.PlanMisses,
-			DiskHits:         c.DiskHits,
-			DiskMisses:       c.DiskMisses,
-			SelectHits:       c.SelectHits,
-			SelectMisses:     c.SelectMisses,
-
-			CompiledHits:           c.CompiledHits,
-			CompiledMisses:         c.CompiledMisses,
-			CompiledDiskHits:       c.CompiledDiskHits,
-			CompiledDiskMisses:     c.CompiledDiskMisses,
-			CompiledTemplates:      c.CompiledTemplates,
-			CompiledTemplateHits:   c.CompiledTemplateHits,
-			CompiledTemplateMisses: c.CompiledTemplateMisses,
-			CompiledEvals:          c.CompiledEvals,
-			CompiledPatterns:       c.CompiledPatterns,
-			CompiledPatternHits:    c.CompiledPatternHits,
-			CompiledPatternMisses:  c.CompiledPatternMisses,
-
-			Evictions: c.Evictions,
-			Entries:   c.Entries,
-		},
+		Version:    api.Version,
+		Workers:    s.session.Workers(),
+		Cache:      s.session.CacheStats(),
 		SuiteCache: s.resolver.stats(),
-		Jobs:       s.jobs.stats(),
-	}
-	pt := s.session.PhaseTotals()
-	resp.Phases = api.PhaseTotals{
-		Scenarios: pt.Scenarios,
-		ComputeUs: pt.ComputeUs,
-		AlignUs:   pt.AlignUs,
-		KernelUs:  pt.KernelUs,
-		SelectUs:  pt.SelectUs,
-		StoreUs:   pt.StoreUs,
-		CostUs:    pt.CostUs,
-		TotalUs:   pt.TotalUs,
+		Requests: api.RequestStats{
+			Optimize:    s.optimizes.Load(),
+			Batch:       s.batches.Load(),
+			Lattice:     s.lattices.Load(),
+			Jobs:        s.jobReqs.Load(),
+			RateLimited: s.rateLimited.Load(),
+		},
+		Jobs:    s.jobs.stats(),
+		Phases:  s.session.PhaseTotals(),
+		Sweeper: s.sweeperStats(),
+		Node:    s.nodeStats(),
 	}
 	if s.store != nil {
 		st := s.store.Stats()
-		resp.Store = &api.StoreStats{
-			PlanPuts:          st.PlanPuts,
-			PlanGetHits:       st.PlanGetHits,
-			PlanGetMisses:     st.PlanGetMisses,
-			KernelPuts:        st.KernelPuts,
-			KernelGetHits:     st.KernelGetHits,
-			KernelGetMisses:   st.KernelGetMisses,
-			CompiledPuts:      st.CompiledPuts,
-			CompiledGetHits:   st.CompiledGetHits,
-			CompiledGetMisses: st.CompiledGetMisses,
-			Warnings:          st.Warnings,
-		}
+		resp.Store = &st
 	}
-	resp.Requests = api.RequestStats{
-		Optimize:    s.optimizes.Load(),
-		Batch:       s.batches.Load(),
-		Lattice:     s.lattices.Load(),
-		Jobs:        s.jobReqs.Load(),
-		RateLimited: s.rateLimited.Load(),
-	}
-	resp.Sweeper = s.sweeperStats()
-	resp.Node = s.nodeStats()
 	return resp
 }
 
@@ -171,98 +125,35 @@ func (s *Server) handleClusterStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // rollupStats aggregates the reachable members into the fleet view:
-// sums for every counter, hit rates recomputed from the summed
-// numerators and denominators.
+// every numeric field of the member snapshots is summed into the
+// same-named rollup field (sumFields), so a new counter joins the
+// rollup without code here. Explicit are only the sweeper interval
+// (a setting, taken from the first member that reports it), the node
+// forward counters (flattened into the rollup), and the hit rates,
+// recomputed from the summed numerators and denominators.
 func rollupStats(members []api.ClusterMemberStats) api.ClusterRollup {
-	var ru api.ClusterRollup
-	ru.Nodes = len(members)
+	ru := api.ClusterRollup{Nodes: len(members)}
+	var interval float64
 	for _, m := range members {
-		if m.Stats == nil {
+		st := m.Stats
+		if st == nil {
 			ru.Unreachable++
 			continue
 		}
-		st := m.Stats
-		ru.Workers += st.Workers
-
-		ru.Requests.Optimize += st.Requests.Optimize
-		ru.Requests.Batch += st.Requests.Batch
-		ru.Requests.Lattice += st.Requests.Lattice
-		ru.Requests.Jobs += st.Requests.Jobs
-		ru.Requests.RateLimited += st.Requests.RateLimited
-
-		ru.Cache.KernelHits += st.Cache.KernelHits
-		ru.Cache.KernelMisses += st.Cache.KernelMisses
-		ru.Cache.KernelDiskHits += st.Cache.KernelDiskHits
-		ru.Cache.KernelDiskMisses += st.Cache.KernelDiskMisses
-		ru.Cache.PlanHits += st.Cache.PlanHits
-		ru.Cache.PlanMisses += st.Cache.PlanMisses
-		ru.Cache.DiskHits += st.Cache.DiskHits
-		ru.Cache.DiskMisses += st.Cache.DiskMisses
-		ru.Cache.SelectHits += st.Cache.SelectHits
-		ru.Cache.SelectMisses += st.Cache.SelectMisses
-		ru.Cache.CompiledHits += st.Cache.CompiledHits
-		ru.Cache.CompiledMisses += st.Cache.CompiledMisses
-		ru.Cache.CompiledDiskHits += st.Cache.CompiledDiskHits
-		ru.Cache.CompiledDiskMisses += st.Cache.CompiledDiskMisses
-		ru.Cache.CompiledTemplates += st.Cache.CompiledTemplates
-		ru.Cache.CompiledTemplateHits += st.Cache.CompiledTemplateHits
-		ru.Cache.CompiledTemplateMisses += st.Cache.CompiledTemplateMisses
-		ru.Cache.CompiledEvals += st.Cache.CompiledEvals
-		ru.Cache.CompiledPatterns += st.Cache.CompiledPatterns
-		ru.Cache.CompiledPatternHits += st.Cache.CompiledPatternHits
-		ru.Cache.CompiledPatternMisses += st.Cache.CompiledPatternMisses
-		ru.Cache.Evictions += st.Cache.Evictions
-		ru.Cache.Entries += st.Cache.Entries
-
-		ru.SuiteCache.Hits += st.SuiteCache.Hits
-		ru.SuiteCache.Misses += st.SuiteCache.Misses
-
-		ru.Jobs.Queued += st.Jobs.Queued
-		ru.Jobs.Running += st.Jobs.Running
-		ru.Jobs.Done += st.Jobs.Done
-		ru.Jobs.Cancelled += st.Jobs.Cancelled
-
-		ru.Phases.Scenarios += st.Phases.Scenarios
-		ru.Phases.ComputeUs += st.Phases.ComputeUs
-		ru.Phases.AlignUs += st.Phases.AlignUs
-		ru.Phases.KernelUs += st.Phases.KernelUs
-		ru.Phases.SelectUs += st.Phases.SelectUs
-		ru.Phases.StoreUs += st.Phases.StoreUs
-		ru.Phases.CostUs += st.Phases.CostUs
-		ru.Phases.TotalUs += st.Phases.TotalUs
-
-		if st.Store != nil {
-			if ru.Store == nil {
-				ru.Store = &api.StoreStats{}
-			}
-			ru.Store.PlanPuts += st.Store.PlanPuts
-			ru.Store.PlanGetHits += st.Store.PlanGetHits
-			ru.Store.PlanGetMisses += st.Store.PlanGetMisses
-			ru.Store.KernelPuts += st.Store.KernelPuts
-			ru.Store.KernelGetHits += st.Store.KernelGetHits
-			ru.Store.KernelGetMisses += st.Store.KernelGetMisses
-			ru.Store.CompiledPuts += st.Store.CompiledPuts
-			ru.Store.CompiledGetHits += st.Store.CompiledGetHits
-			ru.Store.CompiledGetMisses += st.Store.CompiledGetMisses
-			ru.Store.Warnings += st.Store.Warnings
+		if st.Sweeper != nil && ru.Sweeper == nil {
+			interval = st.Sweeper.IntervalSeconds
 		}
-		if st.Sweeper != nil {
-			if ru.Sweeper == nil {
-				ru.Sweeper = &api.SweeperStats{IntervalSeconds: st.Sweeper.IntervalSeconds}
-			}
-			ru.Sweeper.Runs += st.Sweeper.Runs
-			ru.Sweeper.JobsPruned += st.Sweeper.JobsPruned
-			ru.Sweeper.GCSweeps += st.Sweeper.GCSweeps
-			ru.Sweeper.GCRemoved += st.Sweeper.GCRemoved
-			ru.Sweeper.GCBytesFreed += st.Sweeper.GCBytesFreed
+		sumFields(reflect.ValueOf(&ru).Elem(), reflect.ValueOf(st).Elem())
+		if n := st.Node; n != nil {
+			ru.ForwardsOut += n.ForwardsOut
+			ru.ForwardsIn += n.ForwardsIn
+			ru.ForwardFallbacks += n.ForwardFallbacks
+			ru.PeerPlanHits += n.PeerPlanHits
+			ru.PlansReplicated += n.PlansReplicated
 		}
-		if st.Node != nil {
-			ru.ForwardsOut += st.Node.ForwardsOut
-			ru.ForwardsIn += st.Node.ForwardsIn
-			ru.ForwardFallbacks += st.Node.ForwardFallbacks
-			ru.PeerPlanHits += st.Node.PeerPlanHits
-			ru.PlansReplicated += st.Node.PlansReplicated
-		}
+	}
+	if ru.Sweeper != nil {
+		ru.Sweeper.IntervalSeconds = interval
 	}
 	if lookups := ru.Cache.PlanHits + ru.Cache.PlanMisses; lookups > 0 {
 		ru.PlanHitRate = float64(ru.Cache.PlanHits+ru.Cache.DiskHits) / float64(lookups)
@@ -271,6 +162,37 @@ func rollupStats(members []api.ClusterMemberStats) api.ClusterRollup {
 		ru.KernelHitRate = float64(ru.Cache.KernelHits+ru.Cache.KernelDiskHits) / float64(lookups)
 	}
 	return ru
+}
+
+// sumFields adds every numeric field of the struct src into the
+// same-named, same-typed field of the struct dst, recursing into
+// nested structs and struct pointers (a nil dst pointer is allocated
+// when src's is set). Fields without such a counterpart are skipped.
+func sumFields(dst, src reflect.Value) {
+	for i := 0; i < dst.NumField(); i++ {
+		d, sv := dst.Field(i), src.FieldByName(dst.Type().Field(i).Name)
+		if !sv.IsValid() || sv.Type() != d.Type() {
+			continue
+		}
+		switch d.Kind() {
+		case reflect.Int, reflect.Int64:
+			d.SetInt(d.Int() + sv.Int())
+		case reflect.Uint64:
+			d.SetUint(d.Uint() + sv.Uint())
+		case reflect.Float64:
+			d.SetFloat(d.Float() + sv.Float())
+		case reflect.Struct:
+			sumFields(d, sv)
+		case reflect.Pointer:
+			if sv.IsNil() {
+				continue
+			}
+			if d.IsNil() {
+				d.Set(reflect.New(d.Type().Elem()))
+			}
+			sumFields(d.Elem(), sv.Elem())
+		}
+	}
 }
 
 // assembleTrace stitches td — a locally recorded trace — together with

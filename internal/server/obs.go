@@ -109,35 +109,16 @@ func newObservability(s *Server) *observability {
 	reg.NewCounterFunc("resopt_engine_scenario_errors_total", "Scenario results carrying an error (cancellations included).",
 		func() uint64 { return pool().ScenarioErrors })
 
-	// Engine memo-cache tiers, mirrored from CacheStats: plan = whole
-	// heuristic results, kernel = exact linear algebra, select = mesh
-	// collective selections served by the pricer's template cache,
-	// compiled_pattern = mesh patterns (general plans, decomposed
-	// phases) served by its pattern cache, *_disk = the store tier
-	// behind each.
+	// Engine memo-cache tiers, one child per api.CacheStats.Tiers row.
 	hits := reg.NewCounterVec("resopt_engine_cache_hits_total",
 		"Memo-cache hits by tier.", "tier")
 	misses := reg.NewCounterVec("resopt_engine_cache_misses_total",
 		"Memo-cache misses by tier.", "tier")
 	cache := s.session.CacheStats
-	hits.WithFunc(func() uint64 { return cache().PlanHits }, "plan")
-	misses.WithFunc(func() uint64 { return cache().PlanMisses }, "plan")
-	hits.WithFunc(func() uint64 { return cache().KernelHits }, "kernel")
-	misses.WithFunc(func() uint64 { return cache().KernelMisses }, "kernel")
-	hits.WithFunc(func() uint64 { return cache().SelectHits }, "select")
-	misses.WithFunc(func() uint64 { return cache().SelectMisses }, "select")
-	hits.WithFunc(func() uint64 { return cache().DiskHits }, "plan_disk")
-	misses.WithFunc(func() uint64 { return cache().DiskMisses }, "plan_disk")
-	hits.WithFunc(func() uint64 { return cache().KernelDiskHits }, "kernel_disk")
-	misses.WithFunc(func() uint64 { return cache().KernelDiskMisses }, "kernel_disk")
-	hits.WithFunc(func() uint64 { return cache().CompiledHits }, "compiled")
-	misses.WithFunc(func() uint64 { return cache().CompiledMisses }, "compiled")
-	hits.WithFunc(func() uint64 { return cache().CompiledDiskHits }, "compiled_disk")
-	misses.WithFunc(func() uint64 { return cache().CompiledDiskMisses }, "compiled_disk")
-	hits.WithFunc(func() uint64 { return cache().CompiledTemplateHits }, "compiled_template")
-	misses.WithFunc(func() uint64 { return cache().CompiledTemplateMisses }, "compiled_template")
-	hits.WithFunc(func() uint64 { return cache().CompiledPatternHits }, "compiled_pattern")
-	misses.WithFunc(func() uint64 { return cache().CompiledPatternMisses }, "compiled_pattern")
+	for i, tier := range cache().Tiers() {
+		hits.WithFunc(func() uint64 { return cache().Tiers()[i].Hits }, tier.Name)
+		misses.WithFunc(func() uint64 { return cache().Tiers()[i].Misses }, tier.Name)
+	}
 	reg.NewCounterFunc("resopt_engine_compiled_evals_total",
 		"Selection-template evaluations by the compiled-plan tier (one per priced lattice point selection).",
 		func() uint64 { return cache().CompiledEvals })
@@ -216,23 +197,19 @@ func (o *observability) registerCluster(rt *clusterRuntime) {
 		func() uint64 { return rt.snapshotsReplicated.Load() })
 }
 
-// registerStore adds the disk-tier families: traffic counters
-// mirrored from store.Stats, per-tier object/byte gauges walked at
-// scrape time, and cumulative GC results.
+// registerStore adds the disk-tier families: traffic counters from
+// the api.StoreStats tier table, per-tier object/byte gauges walked
+// at scrape time, and cumulative GC results.
 func (o *observability) registerStore(st *store.Store) {
 	reg := o.reg
 	puts := reg.NewCounterVec("resopt_store_puts_total", "Objects written, by tier.", "tier")
 	getHits := reg.NewCounterVec("resopt_store_get_hits_total", "Disk lookups served, by tier.", "tier")
 	getMisses := reg.NewCounterVec("resopt_store_get_misses_total", "Disk lookups missed, by tier.", "tier")
-	puts.WithFunc(func() uint64 { return st.Stats().PlanPuts }, "plans")
-	getHits.WithFunc(func() uint64 { return st.Stats().PlanGetHits }, "plans")
-	getMisses.WithFunc(func() uint64 { return st.Stats().PlanGetMisses }, "plans")
-	puts.WithFunc(func() uint64 { return st.Stats().KernelPuts }, "kernels")
-	getHits.WithFunc(func() uint64 { return st.Stats().KernelGetHits }, "kernels")
-	getMisses.WithFunc(func() uint64 { return st.Stats().KernelGetMisses }, "kernels")
-	puts.WithFunc(func() uint64 { return st.Stats().CompiledPuts }, "compiled")
-	getHits.WithFunc(func() uint64 { return st.Stats().CompiledGetHits }, "compiled")
-	getMisses.WithFunc(func() uint64 { return st.Stats().CompiledGetMisses }, "compiled")
+	for i, tier := range st.Stats().Tiers() {
+		puts.WithFunc(func() uint64 { return st.Stats().Tiers()[i].Puts }, tier.Name)
+		getHits.WithFunc(func() uint64 { return st.Stats().Tiers()[i].Hits }, tier.Name)
+		getMisses.WithFunc(func() uint64 { return st.Stats().Tiers()[i].Misses }, tier.Name)
+	}
 	reg.NewCounterFunc("resopt_store_warnings_total",
 		"Non-fatal store problems (corrupt files skipped, failed writes).",
 		func() uint64 { return st.Stats().Warnings })

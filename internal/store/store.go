@@ -45,6 +45,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/compiled"
 	"repro/internal/engine"
 	"repro/internal/intmat"
@@ -333,21 +334,6 @@ func (s *Store) Warnings() []string {
 	return append([]string(nil), s.warnings...)
 }
 
-// Stats is a snapshot of store traffic.
-type Stats struct {
-	PlanPuts        uint64 `json:"plan_puts"`
-	PlanGetHits     uint64 `json:"plan_get_hits"`
-	PlanGetMisses   uint64 `json:"plan_get_misses"`
-	KernelPuts      uint64 `json:"kernel_puts"`
-	KernelGetHits   uint64 `json:"kernel_get_hits"`
-	KernelGetMisses uint64 `json:"kernel_get_misses"`
-	// Compiled* count compiled-artifact tier traffic.
-	CompiledPuts      uint64 `json:"compiled_puts"`
-	CompiledGetHits   uint64 `json:"compiled_get_hits"`
-	CompiledGetMisses uint64 `json:"compiled_get_misses"`
-	Warnings          uint64 `json:"warnings"`
-}
-
 // TierSize is the on-disk footprint of one store tier.
 type TierSize struct {
 	// Files counts stored objects (stale temp files excluded).
@@ -382,9 +368,9 @@ func (s *Store) TierSizes() map[string]TierSize {
 	return out
 }
 
-// Stats snapshots the counters.
-func (s *Store) Stats() Stats {
-	return Stats{
+// Stats snapshots the traffic counters.
+func (s *Store) Stats() api.StoreStats {
+	return api.StoreStats{
 		PlanPuts:          s.puts.Load(),
 		PlanGetHits:       s.getHits.Load(),
 		PlanGetMisses:     s.getMisses.Load(),
